@@ -20,15 +20,7 @@ from math import comb
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .constructions import (
-    ach_instance,
-    blowup_compose,
-    certify_blocking_family,
-    cycle_instance,
-    dummy_lift,
-    k4_union_instance,
-    random_instance,
-)
+from .constructions import blowup_compose, certify_blocking_family, dummy_lift
 from .core import Instance, is_rainbow_matching, validate_instance
 from .fileformat import (
     InstanceValidationError,
@@ -49,7 +41,7 @@ from .solvers import (
     find_swap,
     good_edges,
 )
-from .sweep import SOLVERS, SWEEP_CONSTRUCTIONS, CellSpec, cell_is_valid, run_solver, run_sweep
+from .sweep import GENERATORS, SOLVERS, CellSpec, cell_is_valid, run_solver, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,7 +49,7 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
-CONSTRUCTIONS = ("cycle", "k4", "ach", "blowup", "dummy", "random")
+CONSTRUCTIONS = (*GENERATORS, "blowup", "dummy")
 
 
 class UsageError(Exception):
@@ -127,7 +119,7 @@ def build_parser() -> _Parser:
 
     swp = sub.add_parser("sweep", help="run a generator x solver grid")
     swp.add_argument("--construction", required=True,
-                     help=f"comma list from {','.join(SWEEP_CONSTRUCTIONS)}")
+                     help=f"comma list from {','.join(GENERATORS)}")
     swp.add_argument("--r", required=True, help="range of uniformities")
     swp.add_argument("--n", required=True, help="range of matching counts")
     swp.add_argument("--solver", required=True, help=f"comma list from {','.join(SOLVERS)}")
@@ -162,18 +154,12 @@ def _require(condition: bool, message: str) -> None:
 
 def _cmd_gen(args) -> int:
     c = args.construction
-    if c == "cycle":
-        _require(args.n is not None, "cycle needs --n")
-        inst = cycle_instance(args.n)
-    elif c == "k4":
-        _require(args.n is not None, "k4 needs --n (odd)")
-        inst = k4_union_instance(args.n)
-    elif c == "ach":
-        _require(args.r is not None and args.n is not None, "ach needs --r and --n")
-        inst = ach_instance(args.r, args.n)
-    elif c == "random":
-        _require(args.r is not None and args.n is not None, "random needs --r and --n")
-        inst = random_instance(args.r, args.n, args.size if args.size is not None else args.n, args.seed)
+    if c in GENERATORS:
+        fields, generate = GENERATORS[c]
+        missing = [f"--{f}" for f in ("r", "n") if f in fields and getattr(args, f) is None]
+        _require(not missing, f"{c} needs {' and '.join(missing)}")
+        inst = generate(*(getattr(args, f) for f in fields))
+        _require(args.r in (None, inst.r), f"{c} builds r {inst.r} instances, got --r {args.r}")
     elif c == "dummy":
         _require(len(args.inputs) == 1, "dummy needs exactly one --in")
         _require(args.m is not None, "dummy needs --m")
@@ -337,7 +323,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     constructions = [c.strip() for c in args.construction.split(",") if c.strip()]
     for c in constructions:
-        _require(c in SWEEP_CONSTRUCTIONS, f"sweep cannot generate {c!r}")
+        _require(c in GENERATORS, f"sweep cannot generate {c!r}")
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
     for s in solvers:
         _require(s in SOLVERS, f"unknown solver {s!r}")
@@ -345,8 +331,9 @@ def _cmd_sweep(args) -> int:
     for construction in constructions:
         for r in _parse_span(args.r):
             for n in _parse_span(args.n):
-                for solver in solvers:
-                    spec = CellSpec(
+                # one validity check per instance: the row's cells share it
+                row = [
+                    CellSpec(
                         construction=construction,
                         r=r,
                         n=n,
@@ -356,8 +343,10 @@ def _cmd_sweep(args) -> int:
                         node_budget=args.node_budget,
                         retries=args.retries,
                     )
-                    if cell_is_valid(spec):
-                        cells.append(spec)
+                    for solver in solvers
+                ]
+                if row and cell_is_valid(row[0]):
+                    cells.extend(row)
     _require(bool(cells), "no valid grid cells for the given ranges")
     sweep_dir, records = run_sweep(cells, args.out, jobs=args.jobs)
     print(f"{len(records)} cells -> {sweep_dir}")

@@ -187,8 +187,11 @@ def serialize_report(doc: ReportDoc) -> str:
 
 def parse_report(text: str) -> ReportDoc:
     payload = json.loads(text)
-    if payload.get("format") != REPORT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
         raise ValueError(f"not a {REPORT_FORMAT} document")
+    for key in ("solver", "certificate", "size", "assignment"):
+        if key not in payload:
+            raise ValueError(f"{REPORT_FORMAT} document has no {key!r} field")
     assignment = RainbowMatching(
         tuple((int(c), tuple(int(v) for v in e)) for c, e in payload["assignment"])
     )

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
@@ -196,51 +195,24 @@ def _branch_and_bound(
     classes: Sequence[_ColourClass],
     r: int,
     budget: int | None,
-    incumbent_size: int,
-    incumbent: RainbowMatching | None,
-    forced: Sequence[tuple[str, int, int]] = (),
-) -> tuple[int, RainbowMatching | None, int, bool]:
+    incumbent: RainbowMatching,
+) -> tuple[RainbowMatching, int, bool]:
     """Search all canonical class assignments.
 
-    ``forced`` is a prefix of root moves (("assign", ci, pos) or
-    ("close", ci, 0)) used to split the tree for the parallel mode.
-    Returns (best size, witness or None if the incumbent was never
-    beaten, nodes explored, budget exhausted flag).
+    Returns (the best matching found, which is ``incumbent`` unless the
+    search beat it, nodes explored, budget exhausted flag).
     """
-    best_size = incumbent_size
+    best_size = incumbent.size
     best_witness = incumbent
     nodes = 0
     chosen: list[tuple[int, int]] = []
 
     # compat maps open class index -> (members_left, tuple of (pos, mask))
-    compat: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-    used0 = 0
-    closed_forced = set()
-    for kind, ci, pos in forced:
-        if kind == "assign":
-            chosen.append((ci, pos))
-            used0 |= classes[ci].masks[pos]
-        else:
-            closed_forced.add(ci)
-    assigned_count: dict[int, int] = {}
-    last_pos: dict[int, int] = {}
-    for ci, pos in chosen:
-        assigned_count[ci] = assigned_count.get(ci, 0) + 1
-        last_pos[ci] = pos
-    for ci, cl in enumerate(classes):
-        if ci in closed_forced:
-            continue
-        left = len(cl.members) - assigned_count.get(ci, 0)
-        if left <= 0:
-            continue
-        start = last_pos.get(ci, -1) + 1
-        lst = tuple(
-            (pos, cl.masks[pos])
-            for pos in range(start, len(cl.masks))
-            if not cl.masks[pos] & used0
-        )
-        if lst:
-            compat[ci] = (left, lst)
+    compat: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
+        ci: (len(cl.members), tuple(enumerate(cl.masks)))
+        for ci, cl in enumerate(classes)
+        if cl.masks
+    }
 
     def dfs(live: dict[int, tuple[int, tuple[tuple[int, int], ...]]]) -> None:
         nonlocal best_size, best_witness, nodes
@@ -295,78 +267,30 @@ def _branch_and_bound(
         dfs(compat)
     except _BudgetExhausted:
         exhausted = True
-    return best_size, best_witness, nodes, exhausted
+    return best_witness, nodes, exhausted
 
 
-def _root_branches(classes: Sequence[_ColourClass]) -> list[tuple[tuple[str, int, int], ...]]:
-    """Top-level branch prefixes used to split the exact search."""
-    pick = -1
-    pick_len = -1
-    for ci, cl in enumerate(classes):
-        if not cl.edges or not cl.members:
-            continue
-        if pick_len < 0 or len(cl.edges) < pick_len:
-            pick, pick_len = ci, len(cl.edges)
-    if pick < 0:
-        return [()]
-    branches: list[tuple[tuple[str, int, int], ...]] = [
-        (("assign", pick, pos),) for pos in range(len(classes[pick].edges))
-    ]
-    branches.append((("close", pick, 0),))
-    return branches
-
-
-def _solve_subtree(args: tuple) -> tuple[int, RainbowMatching | None, int, bool]:
-    inst, forced, incumbent_size, budget = args
-    classes = _colour_classes(inst)
-    return _branch_and_bound(classes, inst.r, budget, incumbent_size, None, forced)
-
-
-def exact_max_rainbow(
-    inst: Instance,
-    node_budget: int | None = None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> SolveReport:
+def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveReport:
     """Maximum rainbow matching by branch-and-bound.
 
     With an unexhausted budget the certificate is ``exact-optimum`` and
     the size is the true maximum; if ``node_budget`` nodes are explored
     first, the best matching found so far is returned with certificate
-    ``heuristic``.  The optional parallel mode explores the root
-    branches in separate processes; the reported size is unchanged.
+    ``heuristic``.
     """
     t0 = time.perf_counter()
-    seed_report = local_search_rainbow(inst)
-    incumbent = seed_report.matching
-    classes = _colour_classes(inst)
-
-    if not parallel:
-        size, witness, nodes, exhausted = _branch_and_bound(
-            classes, inst.r, node_budget, incumbent.size, incumbent
-        )
-    else:
-        branches = _root_branches(classes)
-        share = None if node_budget is None else max(1, node_budget // len(branches))
-        tasks = [(inst, forced, incumbent.size, share) for forced in branches]
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_solve_subtree, tasks))
-        size, witness, nodes, exhausted = incumbent.size, incumbent, 0, False
-        for bsize, bwitness, bnodes, bexhausted in results:
-            nodes += bnodes
-            exhausted = exhausted or bexhausted
-            if bwitness is not None and bsize > size:
-                size, witness = bsize, bwitness
-
-    certificate = CERT_HEURISTIC if exhausted else CERT_EXACT
+    incumbent = local_search_rainbow(inst).matching
+    witness, nodes, exhausted = _branch_and_bound(
+        _colour_classes(inst), inst.r, node_budget, incumbent
+    )
     stats = SolveStats(
         nodes=nodes,
         swaps=0,
         wall_time=time.perf_counter() - t0,
         seed=None,
-        extra={"incumbent_size": incumbent.size, "parallel": parallel},
+        extra={"incumbent_size": incumbent.size},
     )
-    return SolveReport(witness if witness is not None else incumbent, certificate, stats)
+    return SolveReport(witness, CERT_HEURISTIC if exhausted else CERT_EXACT, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +300,10 @@ def exact_max_rainbow(
 def greedy_rainbow(
     inst: Instance,
     color_order: Sequence[int] | None = None,
-    edge_rule: str = "first-fit",
 ) -> SolveReport:
     """First-fit greedy: walk the colours in order, add the first edge
     disjoint from the matching so far.  When every matching has size at
     least n the result has size at least ceil(n / r)."""
-    if edge_rule != "first-fit":
-        raise ValueError(f"unknown edge rule {edge_rule!r}")
     n = inst.n
     if color_order is None:
         order: Sequence[int] = range(n)

@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import bounds as bounds_mod
 from .constructions import ach_instance, cycle_instance, k4_union_instance, random_instance
@@ -40,9 +40,6 @@ from .solvers import (
     local_search_rainbow,
     sample_and_extend,
 )
-
-SWEEP_CONSTRUCTIONS = ("cycle", "k4", "ach", "random")
-SOLVERS = ("exact", "greedy", "local", "sample")
 
 
 @dataclass(frozen=True)
@@ -69,33 +66,46 @@ class CellSpec:
         return f"{self.instance_id}-{self.solver}-seed{self.seed}"
 
 
+# Every entry calls its function through the module-level name when it
+# runs, so a wrapper installed at that name (a tracer, a test double)
+# sees the call.
+
+# construction -> (the CellSpec fields its generator reads, the generator)
+GENERATORS: dict[str, tuple[tuple[str, ...], Callable[..., Instance]]] = {
+    "cycle": (("n",), lambda n: cycle_instance(n)),
+    "k4": (("n",), lambda n: k4_union_instance(n)),
+    "ach": (("r", "n"), lambda r, n: ach_instance(r, n)),
+    "random": (
+        ("r", "n", "size", "seed"),
+        lambda r, n, size, seed: random_instance(r, n, n if size is None else size, seed),
+    ),
+}
+
+# solver -> call(inst, seed=, node_budget=, retries=)
+SOLVERS: dict[str, Callable[..., SolveReport | SampleExtendFailure]] = {
+    "exact": lambda inst, node_budget, **_: exact_max_rainbow(inst, node_budget=node_budget),
+    "greedy": lambda inst, **_: greedy_rainbow(inst),
+    "local": lambda inst, seed, **_: local_search_rainbow(inst, seed=seed),
+    "sample": lambda inst, seed, retries, **_: sample_and_extend(
+        inst, inst.n, seed=seed, retries=retries
+    ),
+}
+
+
 def build_instance(spec: CellSpec) -> Instance:
-    if spec.construction == "cycle":
-        return cycle_instance(spec.n)
-    if spec.construction == "k4":
-        return k4_union_instance(spec.n)
-    if spec.construction == "ach":
-        return ach_instance(spec.r, spec.n)
-    if spec.construction == "random":
-        size = spec.size if spec.size is not None else spec.n
-        return random_instance(spec.r, spec.n, size, spec.seed)
-    raise ValueError(f"unknown sweep construction {spec.construction!r}")
+    fields, generate = GENERATORS[spec.construction]
+    return generate(*(getattr(spec, f) for f in fields))
 
 
 def cell_is_valid(spec: CellSpec) -> bool:
-    """Grid cells with parameters outside a generator's domain are skipped."""
+    """Grid cells outside a generator's domain are skipped: the generator
+    raises ValueError, builds another uniformity than the cell's r
+    (cycle and k4 are 2-uniform), or builds no matchings."""
     try:
-        if spec.construction == "cycle":
-            return spec.r == 2 and spec.n >= 2
-        if spec.construction == "k4":
-            return spec.r == 2 and spec.n >= 3 and spec.n % 2 == 1
-        if spec.construction == "ach":
-            return spec.r >= 3 and spec.n % 2 == 0 and spec.n >= 2 ** (spec.r - 1)
-        if spec.construction == "random":
-            return spec.r >= 2 and spec.n >= 1
-    except OverflowError:
+        inst = build_instance(spec)
+    except ValueError:
         return False
-    return False
+    return inst.r == spec.r and inst.n > 0
 
 
 def run_solver(
@@ -107,16 +117,7 @@ def run_solver(
     instance_ref: str | None = None,
 ) -> ReportDoc:
     """Dispatch one solver run and package it as a report document."""
-    if solver == "exact":
-        result: SolveReport | SampleExtendFailure = exact_max_rainbow(inst, node_budget=node_budget)
-    elif solver == "greedy":
-        result = greedy_rainbow(inst)
-    elif solver == "local":
-        result = local_search_rainbow(inst, seed=seed)
-    elif solver == "sample":
-        result = sample_and_extend(inst, inst.n, seed=seed, retries=retries)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
+    result = SOLVERS[solver](inst, seed=seed, node_budget=node_budget, retries=retries)
     if isinstance(result, SampleExtendFailure):
         return ReportDoc(
             solver=solver,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import rainbow_forge as rf
 from rainbow_forge.cli import main
 
@@ -102,6 +104,44 @@ def test_verify_rejects_tampered_report(tmp_path, capsys):
     report_path.write_text(json.dumps(payload))
     assert main(["verify", "--in", str(inst_path), "--report", str(report_path)]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["solver", "certificate", "size", "assignment"])
+def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
+    inst_path = tmp_path / "a.rbf"
+    report_path = tmp_path / "a.json"
+    main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])
+    main(["solve", "--in", str(inst_path), "--solver", "exact", "--out", str(report_path)])
+    payload = json.loads(report_path.read_text())
+    del payload[key]
+    report_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--in", str(inst_path), "--report", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters:") and repr(key) in err
+
+
+def test_gen_rejects_r_a_family_does_not_build(capsys):
+    assert main(["gen", "--construction", "cycle", "--r", "5", "--n", "4"]) == 1
+    assert main(["gen", "--construction", "k4", "--r", "3", "--n", "5"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["gen", "--construction", "cycle", "--r", "2", "--n", "4"]) == 0
+    assert rf.parse_instance(capsys.readouterr().out) == rf.cycle_instance(4)
+
+
+def test_sweep_skips_random_cells_with_size_zero(tmp_path, capsys):
+    argv = lambda construction, out: [
+        "sweep", "--construction", construction, "--r", "2", "--n", "3", "--size", "0",
+        "--solver", "exact", "--out", str(out),
+    ]
+    assert main(argv("cycle,random", tmp_path / "mixed")) == 0
+    sweep_dir = next((tmp_path / "mixed" / "sweeps").iterdir())
+    records = [json.loads(line) for line in (sweep_dir / "records.jsonl").read_text().splitlines()]
+    assert [rec["construction"] for rec in records] == ["cycle"]
+
+    assert main(argv("random", tmp_path / "empty")) == 1
+    assert "no valid grid cells" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_verify_local_certificate(tmp_path, capsys):

@@ -99,15 +99,6 @@ def test_exact_budget_exhaustion_is_heuristic():
     assert rep.size <= full.size
 
 
-def test_exact_parallel_mode_reports_same_size():
-    for inst in (rf.ach_instance(3, 6), rf.random_instance(3, 6, 6, seed=4)):
-        seq = rf.exact_max_rainbow(inst)
-        par = rf.exact_max_rainbow(inst, parallel=True, max_workers=2)
-        assert par.size == seq.size
-        assert par.certificate == rf.CERT_EXACT
-        assert rf.is_rainbow_matching(inst, par.matching)
-
-
 # ---------------------------------------------------------------------------
 # greedy
 
@@ -137,8 +128,6 @@ def test_greedy_rejects_bad_arguments():
     inst = rf.cycle_instance(2)
     with pytest.raises(ValueError):
         rf.greedy_rainbow(inst, color_order=[0, 0])
-    with pytest.raises(ValueError):
-        rf.greedy_rainbow(inst, edge_rule="best-fit")
 
 
 # ---------------------------------------------------------------------------

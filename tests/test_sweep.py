@@ -1,0 +1,66 @@
+import pytest
+
+import rainbow_forge as rf
+from rainbow_forge import sweep
+from rainbow_forge.sweep import CellSpec, cell_is_valid
+
+
+@pytest.mark.parametrize(
+    "construction, r, n, valid",
+    [
+        ("cycle", 2, 1, False),
+        ("cycle", 2, 2, True),
+        ("cycle", 3, 4, False),  # cycle is 2-uniform
+        ("k4", 2, 2, False),
+        ("k4", 2, 3, True),
+        ("k4", 2, 4, False),
+        ("k4", 3, 3, False),  # k4 is 2-uniform
+        ("ach", 2, 4, False),
+        ("ach", 3, 3, False),
+        ("ach", 3, 4, True),
+        ("ach", 4, 6, False),
+        ("ach", 4, 8, True),
+        ("ach", 5, 14, False),
+        ("ach", 5, 16, True),
+        ("random", 1, 3, False),
+        ("random", 2, 0, False),  # no matchings
+        ("random", 2, 1, True),
+    ],
+)
+def test_cell_selection_boundaries(construction, r, n, valid):
+    assert cell_is_valid(CellSpec(construction, r, n, "exact", 0)) is valid
+
+
+def test_cell_selection_count_on_full_grid():
+    kept = [
+        spec
+        for size in (None, 1, 5)
+        for construction in ("cycle", "k4", "ach", "random")
+        for r in range(7)
+        for n in range(40)
+        if cell_is_valid(spec := CellSpec(construction, r, n, "exact", 0, size=size))
+    ]
+    assert len(kept) == 906
+
+
+# The benchmark traces a run by rebinding these module-level names, so a
+# registry entry must look its function up by name on every call.
+REGISTRY_CALLS = {
+    "cycle_instance": lambda: sweep.build_instance(CellSpec("cycle", 2, 4, "exact", 0)),
+    "k4_union_instance": lambda: sweep.build_instance(CellSpec("k4", 2, 5, "exact", 0)),
+    "ach_instance": lambda: sweep.build_instance(CellSpec("ach", 3, 4, "exact", 0)),
+    "random_instance": lambda: sweep.build_instance(CellSpec("random", 3, 4, "exact", 0)),
+    "exact_max_rainbow": lambda: sweep.run_solver(rf.ach_instance(3, 4), "exact"),
+    "greedy_rainbow": lambda: sweep.run_solver(rf.ach_instance(3, 4), "greedy"),
+    "local_search_rainbow": lambda: sweep.run_solver(rf.ach_instance(3, 4), "local", seed=0),
+    "sample_and_extend": lambda: sweep.run_solver(rf.ach_instance(3, 4), "sample", seed=0),
+}
+
+
+@pytest.mark.parametrize("name", REGISTRY_CALLS)
+def test_registry_calls_functions_by_module_name(monkeypatch, name):
+    calls = []
+    real = getattr(sweep, name)
+    monkeypatch.setattr(sweep, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    REGISTRY_CALLS[name]()
+    assert calls == [name]
