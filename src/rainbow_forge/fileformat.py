@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from .core import Instance, RainbowMatching, Violation, canonicalize, validate_instance
 
@@ -185,6 +185,15 @@ def serialize_report(doc: ReportDoc) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _field(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
+    """``convert(value)``, reporting a value of the wrong shape as a
+    ValueError that names the report field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{REPORT_FORMAT} document has a malformed {key!r} field") from None
+
+
 def parse_report(text: str) -> ReportDoc:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
@@ -192,15 +201,17 @@ def parse_report(text: str) -> ReportDoc:
     for key in ("solver", "certificate", "size", "assignment"):
         if key not in payload:
             raise ValueError(f"{REPORT_FORMAT} document has no {key!r} field")
-    assignment = RainbowMatching(
-        tuple((int(c), tuple(int(v) for v in e)) for c, e in payload["assignment"])
+    assignment = _field(
+        "assignment",
+        payload["assignment"],
+        lambda pairs: RainbowMatching(tuple((int(c), tuple(int(v) for v in e)) for c, e in pairs)),
     )
     return ReportDoc(
         solver=payload["solver"],
         certificate=payload["certificate"],
-        size=int(payload["size"]),
+        size=_field("size", payload["size"], int),
         assignment=assignment,
-        stats=dict(payload.get("stats", {})),
+        stats=_field("stats", payload.get("stats", {}), dict),
         instance=payload.get("instance"),
         failure=payload.get("failure"),
     )

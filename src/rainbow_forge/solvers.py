@@ -21,6 +21,16 @@ minimum matching size, which is what the verifier re-checks.
 
 Tie-breaking everywhere is lowest colour index first, then lexicographic
 edge order; randomised entry points take an explicit seed.
+
+Every solver reads one table per instance, built on first use and kept
+on the instance, so it lives exactly as long as the instance does.  It
+relabels the vertices densely in sorted order (``sorted(vertices)`` ->
+0..V-1), so a bitmask costs V bits whatever the vertex ids are; holds
+each colour's edges in lexicographic order as the original tuples,
+with their bitmasks, computed once per distinct edge (the paper's
+families repeat whole matchings); and groups colours with identical
+edge sets into the exact solver's classes.  A vertex outside the
+instance has no dense id and blocks no edge.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import mpmath
@@ -135,22 +146,69 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _mask(edge: Iterable[int]) -> int:
-    m = 0
-    for v in edge:
-        m |= 1 << v
-    return m
+@dataclass(frozen=True)
+class _ColourClass:
+    members: tuple[int, ...]  # colour indices sharing this edge set, ascending
+    edges: tuple[Edge, ...]  # lexicographically sorted
+    masks: tuple[int, ...]
 
 
-def _sorted_colours(inst: Instance) -> tuple[list[tuple[Edge, ...]], list[tuple[int, ...]]]:
-    """Per-colour edges in lexicographic order, plus their bitmasks."""
-    edges = []
-    masks = []
-    for m in inst.matchings:
-        es = tuple(sorted(set(m)))
-        edges.append(es)
-        masks.append(tuple(_mask(e) for e in es))
-    return edges, masks
+class _Table:
+    """The solver-side view of one instance (see the module docstring)."""
+
+    def __init__(self, inst: Instance):
+        self.index = index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
+        self.mask_of: dict[Edge, int] = {}
+        mask_of = self.mask_of
+        self.edges: list[tuple[Edge, ...]] = []
+        self.masks: list[tuple[int, ...]] = []
+        for m in inst.matchings:
+            # canonical instances (every parsed file) are already in order
+            es = m if all(a < b for a, b in zip(m, m[1:])) else tuple(sorted(set(m)))
+            masks = []
+            for e in es:
+                mk = mask_of.get(e)
+                if mk is None:
+                    mk = 0
+                    for v in e:
+                        mk |= 1 << index[v]
+                    mask_of[e] = mk
+                masks.append(mk)
+            self.edges.append(es)
+            self.masks.append(tuple(masks))
+
+    def mask(self, vertices: Iterable[int]) -> int:
+        """Bitmask over dense ids; a vertex outside the instance blocks
+        no edge, so it is left out."""
+        index = self.index
+        mk = 0
+        for v in vertices:
+            i = index.get(v)
+            if i is not None:
+                mk |= 1 << i
+        return mk
+
+    @cached_property
+    def classes(self) -> list[_ColourClass]:
+        """Colours with identical edge sets, grouped; in order of their
+        lowest member."""
+        groups: dict[tuple[Edge, ...], list[int]] = {}
+        for colour, es in enumerate(self.edges):
+            groups.setdefault(es, []).append(colour)
+        return [
+            _ColourClass(tuple(members), es, self.masks[members[0]])
+            for es, members in groups.items()
+        ]
+
+
+def _table(inst: Instance) -> _Table:
+    """The instance's table, built on first use and kept in the
+    instance's ``__dict__`` (as ``functools.cached_property`` does), so
+    it lives and dies with the instance."""
+    table = inst.__dict__.get("_solver_table")
+    if table is None:
+        table = inst.__dict__["_solver_table"] = _Table(inst)
+    return table
 
 
 def _pairs_to_rainbow(pairs: Iterable[tuple[int, Edge]]) -> RainbowMatching:
@@ -159,24 +217,6 @@ def _pairs_to_rainbow(pairs: Iterable[tuple[int, Edge]]) -> RainbowMatching:
 
 # ---------------------------------------------------------------------------
 # exact search
-
-
-@dataclass(frozen=True)
-class _ColourClass:
-    members: tuple[int, ...]  # colour indices sharing this edge set, ascending
-    edges: tuple[Edge, ...]  # lexicographically sorted
-    masks: tuple[int, ...]
-
-
-def _colour_classes(inst: Instance) -> list[_ColourClass]:
-    edges, masks = _sorted_colours(inst)
-    groups: dict[tuple[Edge, ...], list[int]] = {}
-    for colour, es in enumerate(edges):
-        groups.setdefault(es, []).append(colour)
-    classes = []
-    for es, members in sorted(groups.items(), key=lambda kv: kv[1][0]):
-        classes.append(_ColourClass(tuple(members), es, tuple(_mask(e) for e in es)))
-    return classes
 
 
 def _class_assignment_to_rainbow(
@@ -281,7 +321,7 @@ def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveRe
     t0 = time.perf_counter()
     incumbent = local_search_rainbow(inst).matching
     witness, nodes, exhausted = _branch_and_bound(
-        _colour_classes(inst), inst.r, node_budget, incumbent
+        _table(inst).classes, inst.r, node_budget, incumbent
     )
     stats = SolveStats(
         nodes=nodes,
@@ -312,11 +352,11 @@ def greedy_rainbow(
             raise ValueError("color_order must be a permutation of range(n)")
         order = color_order
     t0 = time.perf_counter()
-    edges, masks = _sorted_colours(inst)
+    table = _table(inst)
     used = 0
     pairs: list[tuple[int, Edge]] = []
     for colour in order:
-        for e, mk in zip(edges[colour], masks[colour]):
+        for e, mk in zip(table.edges[colour], table.masks[colour]):
             if not mk & used:
                 pairs.append((colour, e))
                 used |= mk
@@ -327,13 +367,13 @@ def greedy_rainbow(
 
 def find_extension(inst: Instance, rm: RainbowMatching) -> tuple[int, Edge] | None:
     """First (lowest colour, lexicographic edge) extension move, if any."""
+    table = _table(inst)
     used_colours = set(rm.colours())
-    used = _mask(v for _, e in rm.assignment for v in e)
-    edges, masks = _sorted_colours(inst)
+    used = table.mask(v for _, e in rm.assignment for v in e)
     for colour in range(inst.n):
         if colour in used_colours:
             continue
-        for e, mk in zip(edges[colour], masks[colour]):
+        for e, mk in zip(table.edges[colour], table.masks[colour]):
             if not mk & used:
                 return colour, e
     return None
@@ -343,28 +383,31 @@ def _qualifying_by_edge(
     inst: Instance, rm: RainbowMatching
 ) -> dict[Edge, dict[int, list[Edge]]]:
     """For each matching edge e and unused colour i, the edges of
-    matching i whose intersection with the matching lies inside e.
+    matching i that meet the matching, and only inside e.
 
     Assumes extension-maximality (no edge of an unused colour disjoint
     from the matching); callers check that first.
     """
-    vm = _mask(v for _, e in rm.assignment for v in e)
-    entry_masks = [(e, _mask(e)) for _, e in sorted(rm.assignment)]
+    owner = {v: e for _, e in rm.assignment for v in e}
     used_colours = set(rm.colours())
-    edges, masks = _sorted_colours(inst)
-    table: dict[Edge, dict[int, list[Edge]]] = {e: {} for e, _ in entry_masks}
-    for colour in range(inst.n):
+    by_edge: dict[Edge, dict[int, list[Edge]]] = {e: {} for _, e in sorted(rm.assignment)}
+    for colour, es in enumerate(_table(inst).edges):
         if colour in used_colours:
             continue
-        for f, fm in zip(edges[colour], masks[colour]):
-            hit = fm & vm
-            if not hit:
-                continue
-            for e, em in entry_masks:
-                if hit & ~em == 0:
-                    table[e].setdefault(colour, []).append(f)
+        for f in es:
+            home = None
+            for v in f:
+                e = owner.get(v)
+                if e is None:
+                    continue
+                if home is None:
+                    home = e
+                elif e != home:
                     break
-    return table
+            else:
+                if home is not None:
+                    by_edge[home].setdefault(colour, []).append(f)
+    return by_edge
 
 
 def find_swap(
@@ -378,17 +421,16 @@ def find_swap(
     be extension-maximal.
     """
     colour_of = {e: c for c, e in rm.assignment}
-    table = _qualifying_by_edge(inst, rm)
-    for _, e in sorted(rm.assignment):
-        per_colour = table[e]
+    mask_of = _table(inst).mask_of
+    for e, per_colour in _qualifying_by_edge(inst, rm).items():
         cols = sorted(per_colour)
+        masked = {c: [(f, mask_of[f]) for f in per_colour[c]] for c in cols}
         for ai in range(len(cols)):
             for bi in range(ai + 1, len(cols)):
                 i, j = cols[ai], cols[bi]
-                for f in per_colour[i]:
-                    fm = _mask(f)
-                    for f2 in per_colour[j]:
-                        if not fm & _mask(f2):
+                for f, fm in masked[i]:
+                    for f2, fm2 in masked[j]:
+                        if not fm & fm2:
                             return (colour_of[e], e), (i, f), (j, f2)
     return None
 
@@ -524,17 +566,21 @@ def sample_and_extend(
         return SolveReport(RainbowMatching(), CERT_HEURISTIC, SolveStats(seed=seed))
     r = inst.r
     rng = random.Random(seed)
-    verts = sorted(inst.vertices())
+    table = _table(inst)
     p = 4.0 * n ** (-1.0 / (2 * r))
     p_eff = min(p, 1.0)
     inside_needed_sq = r * r * 4 ** r * n  # count >= r 2^r sqrt(n)  <=>  count^2 >= this
-    edges, masks = _sorted_colours(inst)
+    edges, masks = table.edges, table.masks
 
     checks_met = False
     attempts = 0
     smask = 0
     for attempts in range(1, max(1, retries) + 1):
-        smask = _mask(v for v in verts if rng.random() < p_eff)
+        # one draw per vertex in sorted order, i.e. per dense id
+        smask = 0
+        for i in range(len(table.index)):
+            if rng.random() < p_eff:
+                smask |= 1 << i
         ok = True
         for colour in range(n):
             inside = sum(1 for mk in masks[colour] if mk & smask == mk)
@@ -556,7 +602,7 @@ def sample_and_extend(
     )
     inner = local_search_rainbow(restricted, seed=rng.randrange(2 ** 32))
     current = dict(inner.matching.assignment)
-    used = _mask(v for e in current.values() for v in e)
+    used = table.mask(v for e in current.values() for v in e)
     for colour in range(n):
         if colour in current:
             continue

@@ -106,18 +106,34 @@ def test_verify_rejects_tampered_report(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["solver", "certificate", "size", "assignment"])
-def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
+def _verify_edited_report(tmp_path, capsys, edit):
+    """Exit code and stderr of ``verify`` on an exact report after ``edit``."""
     inst_path = tmp_path / "a.rbf"
     report_path = tmp_path / "a.json"
     main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])
     main(["solve", "--in", str(inst_path), "--solver", "exact", "--out", str(report_path)])
     payload = json.loads(report_path.read_text())
-    del payload[key]
+    edit(payload)
     report_path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert main(["verify", "--in", str(inst_path), "--report", str(report_path)]) == 1
-    err = capsys.readouterr().err
+    code = main(["verify", "--in", str(inst_path), "--report", str(report_path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["solver", "certificate", "size", "assignment"])
+def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
+    code, err = _verify_edited_report(tmp_path, capsys, lambda payload: payload.pop(key))
+    assert code == 1
+    assert err.startswith("invalid parameters:") and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("assignment", [[0, 5]]), ("assignment", 5), ("assignment", [[0]]), ("size", None), ("stats", 5)],
+)
+def test_verify_rejects_report_with_a_malformed_field(tmp_path, capsys, key, value):
+    code, err = _verify_edited_report(tmp_path, capsys, lambda payload: payload.update({key: value}))
+    assert code == 1
     assert err.startswith("invalid parameters:") and repr(key) in err
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
 
@@ -183,6 +185,79 @@ def test_local_search_swaps_improve_over_greedy():
     assert rep.size > greedy
 
 
+def test_local_search_reference_run():
+    # the benchmark's n=200 reference instance and solver seed
+    rep = rf.local_search_rainbow(rf.random_instance(3, 200, 200, seed=1), seed=1)
+    assert (rep.size, rep.stats.nodes, rep.stats.swaps) == (189, 9, 9)
+
+
+def test_moves_ignore_vertices_outside_the_instance():
+    # vertex 99 is in no edge of the instance, so it blocks nothing
+    inst = rf.Instance(r=3, matchings=(((0, 1, 2),), ((0, 5, 6),), ((1, 7, 8),)))
+    outside = rf.RainbowMatching(((0, (50, 51, 99)),))
+    assert rf.find_extension(inst, outside) == (1, (0, 5, 6))
+    rm = rf.RainbowMatching(((0, (0, 1, 99)),))
+    assert rf.find_extension(inst, rm) is None
+    assert rf.find_swap(inst, rm) == ((0, (0, 1, 99)), (1, (0, 5, 6)), (2, (1, 7, 8)))
+
+
+def _meets_only_inside(f, vm, e):
+    return set(f) & vm <= set(e)
+
+
+def brute_force_swap(inst, rm):
+    """The first swap straight from the ``find_swap`` docstring: matching
+    edge (by colour), then colour pair, then f, then f'."""
+    vm = {v for _, e in rm.assignment for v in e}
+    used = set(rm.colours())
+    unused = [c for c in range(inst.n) if c not in used]
+    for c, e in sorted(rm.assignment):
+        for i, j in itertools.combinations(unused, 2):
+            for f in sorted(set(inst.matchings[i])):
+                if not _meets_only_inside(f, vm, e):
+                    continue
+                for f2 in sorted(set(inst.matchings[j])):
+                    if _meets_only_inside(f2, vm, e) and not set(f) & set(f2):
+                        return (c, e), (i, f), (j, f2)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 10), st.integers(1, 10), st.integers(0, 10_000))
+def test_swap_and_good_edges_match_their_definitions(r, n, s, seed):
+    inst = rf.random_instance(r, n, min(s, n), seed=seed)
+    # replay the local search, checking every extension-maximal state
+    current = dict(rf.greedy_rainbow(inst).matching.assignment)
+    while True:
+        rm = rf.RainbowMatching(tuple(sorted(current.items())))
+        ext = rf.find_extension(inst, rm)
+        if ext is not None:
+            current[ext[0]] = ext[1]
+            continue
+        swap = rf.find_swap(inst, rm)
+        assert swap == brute_force_swap(inst, rm)
+
+        table = rf.good_edges(inst, rm)
+        vm = {v for _, e in rm.assignment for v in e}
+        for colour in range(inst.n):
+            if colour in current:
+                continue
+            fs = sorted(set(inst.matchings[colour]))
+            meets = [[e for _, e in rm.assignment if set(f) & set(e)] for f in fs]
+            assert table.h[colour] == sum(1 for hit in meets if len(hit) == 1)
+            witnesses = {
+                e: [f for f in fs if _meets_only_inside(f, vm, e)] for _, e in rm.assignment
+            }
+            good = {e: tuple(ws[:2]) for e, ws in witnesses.items() if len(ws) >= 2}
+            assert table.g[colour] == len(good)
+            assert table.good[colour] == good
+        if swap is None:
+            break
+        removed, first, second = swap
+        del current[removed[0]]
+        current.update([first, second])
+
+
 # ---------------------------------------------------------------------------
 # good edges
 
@@ -239,6 +314,27 @@ def test_good_edge_witnesses_are_distinct_and_qualify():
             for f in (f1, f2):
                 assert f in inst.matchings[colour]
                 assert set(f) & vm <= set(e)
+
+
+def test_solver_memory_does_not_grow_with_vertex_ids():
+    big = 10**8  # a bitmask indexed by raw ids would take 12 MB per edge
+    solvers = [
+        lambda inst: rf.exact_max_rainbow(inst),
+        lambda inst: rf.local_search_rainbow(inst, seed=1),
+        lambda inst: rf.greedy_rainbow(inst),
+        lambda inst: rf.good_edges(inst, rf.RainbowMatching(((0, (0, big)), (1, (1, big + 1))))),
+        lambda inst: rf.sample_and_extend(inst, 2, seed=1),
+    ]
+    for solve in solvers:
+        inst = rf.Instance(r=2, matchings=(((0, big),), ((1, big + 1),)))
+        tracemalloc.start()
+        try:
+            result = solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert getattr(result, "size", 2) == 2
 
 
 # ---------------------------------------------------------------------------
