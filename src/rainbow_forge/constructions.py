@@ -387,12 +387,7 @@ def find_blocking_family(
         return exact_max_rainbow(inst).size
 
     def wrap(inst: Instance, certified: int) -> BlockingFamily:
-        meta = {
-            **inst.meta,
-            "blocking_seed": seed,
-            "blocking_budget": budget,
-            "blocking_workers": 1,
-        }
+        meta = {**inst.meta, "blocking_seed": seed, "blocking_budget": budget}
         stamped = Instance(inst.r, inst.matchings, inst.partition, meta)
         return BlockingFamily(stamped, t, certified)
 

@@ -194,6 +194,14 @@ def _field(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
         raise ValueError(f"{REPORT_FORMAT} document has a malformed {key!r} field") from None
 
 
+def _int(value: Any) -> int:
+    """``value`` when it is an int; anything else, a float or a bool
+    included (``int()`` would truncate them), is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_report(text: str) -> ReportDoc:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
@@ -204,12 +212,12 @@ def parse_report(text: str) -> ReportDoc:
     assignment = _field(
         "assignment",
         payload["assignment"],
-        lambda pairs: RainbowMatching(tuple((int(c), tuple(int(v) for v in e)) for c, e in pairs)),
+        lambda pairs: RainbowMatching(tuple((_int(c), tuple(_int(v) for v in e)) for c, e in pairs)),
     )
     return ReportDoc(
         solver=payload["solver"],
         certificate=payload["certificate"],
-        size=_field("size", payload["size"], int),
+        size=_field("size", payload["size"], _int),
         assignment=assignment,
         stats=_field("stats", payload.get("stats", {}), dict),
         instance=payload.get("instance"),

@@ -7,6 +7,28 @@ increasing sequence of edges instead of permuting interchangeable
 colours.  Pruning combines the remaining-colour count with a
 vertex-count relaxation; the reported size is deterministic.
 
+A disjoint union of small pieces, which every family of the paper is,
+is solved one component at a time instead.  A union-find over the
+edges gives the components.  For each distinct component shape (the
+same classes and edges up to a shift of the dense ids) a depth-first
+search enumerates the selections: in class order, an increasing run of
+pairwise disjoint edges per class, at most as many as the class has
+colours.  A selection's profile counts the colours it uses per class;
+the maximal profiles are kept, each with its first witness.  Classes
+of equal capacity whose swap maps every component's profile set to
+itself form one type.  A dynamic program (DP) walks the components in
+order over the remaining class capacities, each type's capacities kept
+sorted so that symmetric states merge; a profile is cut down to what
+remains, which is valid because profiles are downward closed.  The
+colours used are the capacity spent; a state that cannot beat the
+incumbent even if the remaining components add their largest profiles
+is dropped, and the final state with the least capacity left gives the
+maximum.  The branch-and-bound runs instead
+when the instance has one component, when the incumbent already meets
+its root bound, when one component holds more than half of the covered
+vertices, or when the attempt would take more nodes than the budget or
+than one per (component, class edge) pair.
+
 The local search realises the counting argument behind the
 ``check_gibounds`` inequality constructively.  Starting from a greedy
 matching it applies two moves until neither exists:
@@ -310,25 +332,287 @@ def _branch_and_bound(
     return best_witness, nodes, exhausted
 
 
+def _components(table: _Table) -> tuple[list[int], list[int]]:
+    """Connected components as bitmasks over dense ids, ordered by their
+    lowest vertex, and the component index of each dense id (every
+    vertex of the table lies on an edge)."""
+    index = table.index
+    parent = list(range(len(index)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for e in table.mask_of:
+        a = find(index[e[0]])
+        for v in e[1:]:
+            b = find(index[v])
+            if b != a:
+                parent[b] = a
+    first: dict[int, int] = {}
+    label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
+    comps = [0] * len(first)
+    for x, c in enumerate(label):
+        comps[c] |= 1 << x
+    return comps, label
+
+
+def _profiles(
+    items: Sequence[tuple[int, int]], caps: Sequence[int], limit: int, nodes: int
+) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, ...]], int]:
+    """The maximal class profiles of one component, each with its first
+    witness, and the updated node count.
+
+    ``items`` are the component's (class, mask) edges in class order and
+    then edge order.  A selection is an increasing run of pairwise
+    disjoint items with at most ``caps[class]`` per class; its profile
+    is the sparse tuple of (class, edges used), its witness the item
+    indices.  Every selection is one node; past ``limit`` nodes the
+    enumeration raises :class:`_BudgetExhausted`.
+    """
+    found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+    used_per_class: dict[int, int] = {}
+    chosen: list[int] = []
+
+    def rec(start: int, used: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise _BudgetExhausted
+        profile: list[tuple[int, int]] = []
+        for t in chosen:
+            ci = items[t][0]
+            if profile and profile[-1][0] == ci:
+                profile[-1] = (ci, profile[-1][1] + 1)
+            else:
+                profile.append((ci, 1))
+        found.setdefault(tuple(profile), tuple(chosen))
+        for t in range(start, len(items)):
+            ci, mk = items[t]
+            k = used_per_class.get(ci, 0)
+            if mk & used or k == caps[ci]:
+                continue
+            used_per_class[ci] = k + 1
+            chosen.append(t)
+            rec(t + 1, used | mk)
+            chosen.pop()
+            used_per_class[ci] = k
+
+    rec(0, 0)
+    # the profiles are downward closed, so a profile is maximal exactly
+    # when no single class can be raised by one
+    classes = sorted(set(ci for ci, _ in items))
+
+    def raised(p: tuple[tuple[int, int], ...], ci: int) -> tuple[tuple[int, int], ...]:
+        d = dict(p)
+        d[ci] = d.get(ci, 0) + 1
+        return tuple(sorted(d.items()))
+
+    return {
+        p: w for p, w in found.items() if not any(raised(p, ci) in found for ci in classes)
+    }, nodes
+
+
+def _by_components(
+    table: _Table, r: int, budget: int | None, incumbent: RainbowMatching
+) -> tuple[RainbowMatching, int, dict] | None:
+    """Solve a disjoint union one component at a time (see the module
+    docstring).
+
+    Returns None when the instance is left to :func:`_branch_and_bound`;
+    otherwise the best matching (``incumbent`` unless the combination
+    beat it), the nodes, which are enumeration nodes plus DP states, and
+    the ``stats.extra`` entries of this path.
+    """
+    classes = table.classes
+    caps = [len(cl.members) for cl in classes]
+    nv = len(table.index)  # every vertex lies on an edge
+    if incumbent.size >= min(sum(min(k, len(cl.masks)) for k, cl in zip(caps, classes)), nv // r):
+        return None  # meets the search's root bound: it stops at once
+    comps, label = _components(table)
+    if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
+        return None  # a dominant component makes its profiles explode
+    # The attempt may take one node per (component, class edge) pair.
+    # Gadgets, K4 blocks and shared edges hold at most two disjoint edges
+    # and their classes fall into a few types, so they stay far inside
+    # that; rich pieces (random parts, many classes that no symmetry
+    # merges) exceed it long before the search would.  Past it, or past
+    # the budget, the search runs as if no attempt had been made.
+    limit = len(comps) * sum(len(cl.masks) for cl in classes)
+    if budget is not None:
+        limit = min(limit, budget)
+
+    # each component's edges as (class, mask) items, with their positions
+    items: list[list[tuple[int, int]]] = [[] for _ in comps]
+    where: list[list[int]] = [[] for _ in comps]
+    for ci, cl in enumerate(classes):
+        for pos, mk in enumerate(cl.masks):
+            c = label[(mk & -mk).bit_length() - 1]
+            items[c].append((ci, mk))
+            where[c].append(pos)
+    # identical components (the same classes and edges up to a shift of
+    # the dense ids) share one enumeration
+    group_of: dict[tuple[tuple[int, int], ...], int] = {}
+    comp_group = []
+    first_of: list[int] = []
+    for c, mk in enumerate(comps):
+        shift = (mk & -mk).bit_length() - 1
+        key = tuple((ci, m >> shift) for ci, m in items[c])
+        if key not in group_of:
+            group_of[key] = len(first_of)
+            first_of.append(c)
+        comp_group.append(group_of[key])
+
+    nodes = dp_states = 0
+    try:
+        found = []
+        for c in first_of:
+            profiles, nodes = _profiles(items[c], caps, limit, nodes)
+            found.append(profiles)
+
+        # class types: the same capacity, and swapping the two classes
+        # maps every component's profile set to itself
+        def symmetric(a: int, b: int) -> bool:
+            swap = {a: b, b: a}
+            return all(
+                {tuple(sorted((swap.get(ci, ci), k) for ci, k in p)) for p in ps} == ps.keys()
+                for ps in found
+            )
+
+        types: list[list[int]] = []
+        for ci, cl in enumerate(classes):
+            if not cl.masks:
+                continue
+            for ty in types:
+                if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
+                    ty.append(ci)
+                    break
+            else:
+                types.append([ci])
+
+        # a state is the remaining capacities in type order, each type's
+        # slice sorted; the colours used so far are the capacity spent,
+        # so the state alone determines the value
+        order = [ci for ty in types for ci in ty]
+        slot = {ci: s for s, ci in enumerate(order)}
+        span_of: list[tuple[int, int]] = []
+        for ty in types:
+            span_of += [(len(span_of), len(span_of) + len(ty))] * len(ty)
+        moves = [
+            [(tuple((slot[ci], k) for ci, k in p), w) for p, w in profiles.items()]
+            for profiles in found
+        ]
+
+        def apply(state: Sequence[int], move: tuple[tuple[int, int], ...]) -> list[int]:
+            child = list(state)
+            for s, k in move:
+                child[s] -= min(k, child[s])
+            return child
+
+        def canonical(child: list[int], touched: Iterable[int]) -> tuple[int, ...]:
+            for lo, hi in {span_of[s] for s in touched}:
+                if hi - lo > 1:
+                    child[lo:hi] = sorted(child[lo:hi])
+            return tuple(child)
+
+        start = tuple(caps[ci] for ci in order)
+        total = sum(start)
+        # the most colours the components from c on can still add
+        reach = [0] * (len(comps) + 1)
+        for c in reversed(range(len(comps))):
+            reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m, _ in moves[comp_group[c]])
+        layers: list[dict[tuple[int, ...], tuple[int, ...]]] = [{start: start}]
+        for c, g in enumerate(comp_group):
+            nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for state in layers[-1]:
+                seen = set()
+                for move, _ in moves[g]:
+                    # moves meeting equal capacities of one type lead to
+                    # the same state
+                    key = tuple(sorted((span_of[s], state[s], k) for s, k in move))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    child = canonical(apply(state, move), (s for s, _ in move))
+                    left = sum(child)
+                    if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
+                        continue  # known, or cannot beat the incumbent
+                    nxt[child] = state
+                    nodes += 1
+                    dp_states += 1
+                    if nodes > limit:
+                        raise _BudgetExhausted
+            layers.append(nxt)
+    except _BudgetExhausted:
+        return None
+    extra = {"components": len(comps), "dp_states": dp_states}
+    if not layers[-1]:
+        return incumbent, nodes, extra
+    best = min(layers[-1], key=sum)
+
+    # follow the best path back, then replay it on the actual
+    # capacities: take the first move whose canonical child is on it
+    path = [best]
+    for layer in reversed(layers[1:]):
+        path.append(layer[path[-1]])
+    path.reverse()
+    rem = list(start)
+    given = [0] * len(classes)
+    pairs = []
+    for c, g in enumerate(comp_group):
+        for move, witness in moves[g]:
+            child = apply(rem, move)
+            if canonical(list(child), range(len(child))) == path[c + 1]:
+                break
+        take = {order[s]: rem[s] - child[s] for s, _ in move}
+        for t in witness:
+            ci = items[c][t][0]
+            if take[ci]:
+                take[ci] -= 1
+                pairs.append((classes[ci].members[given[ci]], classes[ci].edges[where[c][t]]))
+                given[ci] += 1
+        rem = child
+    return _pairs_to_rainbow(pairs), nodes, extra
+
+
 def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveReport:
-    """Maximum rainbow matching by branch-and-bound.
+    """Maximum rainbow matching, starting from the local-search incumbent.
+
+    An instance that splits into components is solved by components
+    (see the module docstring) when none of them holds more than half
+    of the covered vertices, the incumbent is below the branch-and-bound
+    root bound, and the attempt fits in ``node_budget`` and in one node
+    per (component, class edge) pair.  ``stats.nodes`` then counts
+    enumeration nodes plus DP states, and ``stats.extra`` gains
+    ``components`` and ``dp_states``.  Otherwise the branch-and-bound
+    runs as if no attempt had been made, and ``stats.nodes`` counts its
+    search nodes.
 
     With an unexhausted budget the certificate is ``exact-optimum`` and
-    the size is the true maximum; if ``node_budget`` nodes are explored
-    first, the best matching found so far is returned with certificate
-    ``heuristic``.
+    the size is the true maximum; if the search explores ``node_budget``
+    nodes first, the best matching found so far is returned with
+    certificate ``heuristic``.
     """
     t0 = time.perf_counter()
     incumbent = local_search_rainbow(inst).matching
-    witness, nodes, exhausted = _branch_and_bound(
-        _table(inst).classes, inst.r, node_budget, incumbent
-    )
+    table = _table(inst)
+    extra: dict[str, Any] = {"incumbent_size": incumbent.size}
+    solved = _by_components(table, inst.r, node_budget, incumbent)
+    if solved is None:
+        witness, nodes, exhausted = _branch_and_bound(
+            table.classes, inst.r, node_budget, incumbent
+        )
+    else:
+        witness, nodes, parts = solved
+        exhausted = False
+        extra.update(parts)
     stats = SolveStats(
         nodes=nodes,
         swaps=0,
         wall_time=time.perf_counter() - t0,
         seed=None,
-        extra={"incumbent_size": incumbent.size},
+        extra=extra,
     )
     return SolveReport(witness, CERT_HEURISTIC if exhausted else CERT_EXACT, stats)
 

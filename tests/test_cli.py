@@ -129,7 +129,17 @@ def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("assignment", [[0, 5]]), ("assignment", 5), ("assignment", [[0]]), ("size", None), ("stats", 5)],
+    [
+        ("assignment", [[0, 5]]),
+        ("assignment", 5),
+        ("assignment", [[0]]),
+        ("size", None),
+        ("stats", 5),
+        ("size", 2.9),
+        ("size", True),
+        ("assignment", [[0, [1.7, 2, 3]]]),
+        ("assignment", [[True, [0, 1, 2]]]),
+    ],
 )
 def test_verify_rejects_report_with_a_malformed_field(tmp_path, capsys, key, value):
     code, err = _verify_edited_report(tmp_path, capsys, lambda payload: payload.update({key: value}))

@@ -1,0 +1,128 @@
+"""The exact solver on disjoint unions, which it solves component by
+component, checked against the brute-force and the ILP oracles."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rainbow_forge as rf
+from rainbow_forge import solvers
+
+from ilp_oracle import ilp_max_rainbow
+from oracle import brute_force_max_rainbow
+
+
+def disjoint_union(parts: list[rf.Instance]) -> rf.Instance:
+    """The parts on disjoint vertex ranges; matching j is the union of
+    the parts' matchings j."""
+    matchings: list[list[tuple[int, ...]]] = [[] for _ in parts[0].matchings]
+    offset = 0
+    for part in parts:
+        for j, m in enumerate(part.matchings):
+            matchings[j].extend(tuple(v + offset for v in e) for e in m)
+        offset += max(part.vertices(), default=-1) + 1
+    return rf.Instance(parts[0].r, tuple(tuple(sorted(m)) for m in matchings))
+
+
+def blowup() -> rf.Instance:
+    part = rf.find_blocking_family(3, 4, 2, seed=1)
+    return rf.blowup_compose([part, part, part])
+
+
+@pytest.mark.parametrize(
+    "build, optimum",
+    [
+        (lambda: rf.ach_instance(4, 10), 6),
+        (lambda: rf.ach_instance(4, 12), 8),
+        (lambda: rf.ach_instance(3, 64), 62),
+        (lambda: rf.k4_union_instance(41), 40),
+        (lambda: rf.cycle_instance(200), 199),
+        (lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2), 6),
+        (blowup, 3),
+    ],
+)
+def test_exact_matches_ilp_on_paper_constructions(build, optimum):
+    inst = build()
+    rep = rf.exact_max_rainbow(inst)
+    assert rep.certificate == rf.CERT_EXACT
+    assert rep.size == optimum == ilp_max_rainbow(inst)
+    assert rf.is_rainbow_matching(inst, rep.matching)
+
+
+@pytest.mark.parametrize("r, n", [(4, 16), (5, 16), (5, 32), (6, 64)])
+def test_exact_certifies_ach_optimum(r, n):
+    inst = rf.ach_instance(r, n)
+    rep = rf.exact_max_rainbow(inst)
+    assert rep.certificate == rf.CERT_EXACT
+    assert rep.size == n - 2 ** (r - 2) == ilp_max_rainbow(inst)
+    assert rf.is_rainbow_matching(inst, rep.matching)
+    assert rep.stats.extra["components"] == n // 2
+
+
+@pytest.mark.parametrize("budget", [None, 36, 35, 10])
+def test_exact_by_components_only_within_the_budget(budget):
+    # 18 enumeration nodes for the one gadget shape, then 18 DP states
+    # that could still beat the incumbent; with fewer nodes the search
+    # runs under the whole budget instead
+    inst = rf.ach_instance(4, 12)
+    rep = rf.exact_max_rainbow(inst, node_budget=budget)
+    assert rf.is_rainbow_matching(inst, rep.matching)
+    if budget is None or budget >= 36:
+        assert rep.certificate == rf.CERT_EXACT and rep.size == 8
+        assert rep.stats.nodes == 36
+        assert rep.stats.extra == {"incumbent_size": 8, "components": 6, "dp_states": 18}
+    else:
+        assert rep.certificate == rf.CERT_HEURISTIC
+        assert rep.stats.nodes == budget + 1 and "components" not in rep.stats.extra
+
+
+@pytest.mark.parametrize(
+    "parts, size, nodes",
+    [
+        # about 50,000 selections in each random part
+        ([rf.random_instance(3, 12, 6, seed=s) for s in (1, 2)], 12, 68),
+        # 16 classes that no symmetry merges: the DP state space explodes
+        ([rf.random_instance(3, 16, 1, seed=s) for s in range(1, 7)], 12, 159),
+    ],
+)
+def test_rich_components_are_left_to_the_search(parts, size, nodes):
+    rep = rf.exact_max_rainbow(disjoint_union(parts))
+    assert (rep.size, rep.certificate, rep.stats.nodes) == (size, rf.CERT_EXACT, nodes)
+    assert "components" not in rep.stats.extra
+
+
+@st.composite
+def unions(draw):
+    """2-4 small random families side by side, some of them repeating
+    one matching so that colour classes form."""
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 6))
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        part = rf.random_instance(r, n, draw(st.integers(1, 2)), seed=draw(st.integers(0, 10_000)))
+        repeat = draw(st.integers(0, n))
+        parts.append(rf.Instance(r, (part.matchings[0],) * repeat + part.matchings[repeat:]))
+    return disjoint_union(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unions())
+def test_exact_by_components_matches_the_oracles(inst):
+    want = brute_force_max_rainbow(inst)
+    assert ilp_max_rainbow(inst) == want
+    rep = rf.exact_max_rainbow(inst)
+    assert rep.certificate == rf.CERT_EXACT and rep.size == want
+    assert rf.is_rainbow_matching(inst, rep.matching)
+    if "components" in rep.stats.extra:
+        assert rep.stats.extra["components"] >= 2
+    # an incumbent below the optimum makes the combination rebuild its
+    # own witness; the local optimum less one edge also lets the bound
+    # prune DP states
+    table = solvers._table(inst)
+    local = rf.local_search_rainbow(inst).matching
+    for incumbent in (rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1])):
+        forced = solvers._by_components(table, inst.r, None, incumbent)
+        if forced is not None:
+            matching, _, extra = forced
+            assert extra["components"] >= 2
+            assert matching.size == want and rf.is_rainbow_matching(inst, matching)

@@ -38,6 +38,9 @@ def test_exact_on_empty_instance():
 def test_exact_on_disjoint_matchings():
     rep = rf.exact_max_rainbow(disjoint_instance(3, 5, 2))
     assert rep.size == 5
+    # the incumbent meets the root bound, so the search stops at once
+    # even though the instance has ten components
+    assert rep.stats.nodes == 1 and "components" not in rep.stats.extra
 
 
 def test_exact_handles_empty_matchings():
@@ -89,6 +92,22 @@ def test_exact_size_invariant_under_symmetries():
             tuple(tuple(rf.make_edge(relabel[v] for v in e) for e in m) for m in inst.matchings),
         )
         assert rf.exact_max_rainbow(relabelled).size == base
+
+
+@pytest.mark.parametrize(
+    "build, size, nodes",
+    [
+        # one component
+        (lambda: rf.random_instance(3, 18, 18, seed=1), 18, 21_189),
+        (lambda: rf.cycle_instance(200), 199, 401),
+        # three shared edges and one component holding most vertices
+        (lambda: rf.dummy_lift(rf.random_instance(3, 18, 18, seed=1), 3), 18, 139),
+    ],
+)
+def test_exact_search_where_the_instance_is_not_decomposed(build, size, nodes):
+    rep = rf.exact_max_rainbow(build())
+    assert (rep.size, rep.certificate, rep.stats.nodes) == (size, rf.CERT_EXACT, nodes)
+    assert "components" not in rep.stats.extra
 
 
 def test_exact_budget_exhaustion_is_heuristic():
