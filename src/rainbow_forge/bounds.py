@@ -10,6 +10,7 @@ touch floating point.
 
 Out-of-domain parameters are reported through the ``domain_ok`` flag
 rather than raised, so parameter sweeps can tabulate validity domains.
+Only an r below 1, for which no formula is defined, raises ValueError.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ class BoundValue:
         return f"{self.formula_id} = {self.value}{flag}"
 
 
+def _check_r(r: int) -> None:
+    """Every bound formula needs r >= 1; r = 1 and r = 2 evaluate and
+    are flagged through ``domain_ok``."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+
+
 def _rooted_bound(
     formula_id: str,
     base: Fraction,
@@ -119,6 +127,7 @@ def _rooted_bound(
 def lower_bound_g_prime(r: int, n: int) -> BoundValue:
     """Guaranteed rainbow size for n matchings of size n, unrestricted
     host: ``(2n - C(2r, r)) / (r + 1)``.  Meaningful for r >= 3."""
+    _check_r(r)
     value = Fraction(2 * n - comb(2 * r, r), r + 1)
     ok = r >= 3
     return BoundValue(
@@ -134,6 +143,7 @@ def lower_bound_g_prime(r: int, n: int) -> BoundValue:
 def upper_bound_g(r: int, n: int) -> BoundValue:
     """Upper bound on the r-partite guarantee:
     ``n - n**((r-1)/r) / (12 r)``, valid for r >= 3 and n > 6**r."""
+    _check_r(r)
     if r < 3:
         ok, reason = False, f"requires r >= 3, got {r}"
     elif n <= 6 ** r:
@@ -154,6 +164,7 @@ def bounds_h(r: int, n: int) -> tuple[BoundValue, BoundValue]:
     sufficiently large n with no explicit threshold, which the domain
     reason records as unquantified.
     """
+    _check_r(r)
     if r < 3:
         lo_ok, lo_reason = False, f"requires r >= 3, got {r}"
     elif n <= 6 ** r:
@@ -185,6 +196,7 @@ def bounds_h(r: int, n: int) -> tuple[BoundValue, BoundValue]:
 def weak_asymptotic_bound(r: int, n: int) -> BoundValue:
     """Rainbow size guaranteed by n matchings of size ceil((r+1)n/2):
     ``n - 2**r * sqrt(n)``.  Exact when n is a perfect square."""
+    _check_r(r)
     ok = r >= 3
     return _rooted_bound(
         "weak_asymptotic_bound",
@@ -201,6 +213,7 @@ def weak_asymptotic_bound(r: int, n: int) -> BoundValue:
 def ach_bound(r: int, n: int) -> BoundValue:
     """Upper bound certified by the paired-gadget construction:
     ``n - 2**(r-2)`` for even n, one more for odd n."""
+    _check_r(r)
     value = Fraction(n - 2 ** (r - 2) + (1 if n % 2 else 0))
     ok = r >= 3
     return BoundValue(

@@ -69,7 +69,7 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         raise ParseError(f"expected an integer {what}, got {token!r}", lineno) from None
 
 
-def parse_instance(text: str, validate: bool = True) -> Instance:
+def parse_instance(text: str) -> Instance:
     """Parse the documented format; reject invariant violations.
 
     Malformed structure raises :class:`ParseError` with the offending
@@ -150,10 +150,9 @@ def parse_instance(text: str, validate: bool = True) -> Instance:
         partition=partition,
         meta=meta,
     )
-    if validate:
-        report = validate_instance(inst)
-        if report:
-            raise InstanceValidationError(report)
+    report = validate_instance(inst)
+    if report:
+        raise InstanceValidationError(report)
     return inst
 
 

@@ -46,25 +46,26 @@ edge order; randomised entry points take an explicit seed.
 
 Every solver reads one table per instance, built on first use and kept
 on the instance, so it lives exactly as long as the instance does.  It
-relabels the vertices densely in sorted order (``sorted(vertices)`` ->
-0..V-1), so a bitmask costs V bits whatever the vertex ids are; holds
-each colour's edges in lexicographic order as the original tuples,
-with their bitmasks, computed once per distinct edge (the paper's
-families repeat whole matchings); and groups colours with identical
-edge sets into the exact solver's classes.  A vertex outside the
-instance has no dense id and blocks no edge.
+holds each colour's edges in lexicographic order as the original
+tuples.  The greedy, local, good-edge and sampling code test "disjoint
+from the matching" against a set of used vertices, so their memory
+grows with the edges, not with edges times vertices.  Only the exact
+solver works on bitmasks: on first use the table relabels the vertices
+densely in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask
+costs V bits whatever the vertex ids are, and groups colours with
+identical edge sets into the exact solver's classes, each edge with its
+bitmask.
 """
 
 from __future__ import annotations
 
+import decimal
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Sequence
-
-import mpmath
 
 from .core import Edge, Instance, RainbowMatching, is_rainbow_matching
 
@@ -179,46 +180,35 @@ class _Table:
     """The solver-side view of one instance (see the module docstring)."""
 
     def __init__(self, inst: Instance):
-        self.index = index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
-        self.mask_of: dict[Edge, int] = {}
-        mask_of = self.mask_of
-        self.edges: list[tuple[Edge, ...]] = []
-        self.masks: list[tuple[int, ...]] = []
-        for m in inst.matchings:
-            # canonical instances (every parsed file) are already in order
-            es = m if all(a < b for a, b in zip(m, m[1:])) else tuple(sorted(set(m)))
-            masks = []
-            for e in es:
-                mk = mask_of.get(e)
-                if mk is None:
-                    mk = 0
-                    for v in e:
-                        mk |= 1 << index[v]
-                    mask_of[e] = mk
-                masks.append(mk)
-            self.edges.append(es)
-            self.masks.append(tuple(masks))
+        # canonical instances (every parsed file) are already in order
+        self.edges: list[tuple[Edge, ...]] = [
+            m if all(a < b for a, b in zip(m, m[1:])) else tuple(sorted(set(m)))
+            for m in inst.matchings
+        ]
 
-    def mask(self, vertices: Iterable[int]) -> int:
-        """Bitmask over dense ids; a vertex outside the instance blocks
-        no edge, so it is left out."""
-        index = self.index
-        mk = 0
-        for v in vertices:
-            i = index.get(v)
-            if i is not None:
-                mk |= 1 << i
-        return mk
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """Dense vertex ids, ``sorted(vertices) -> 0..V-1``."""
+        vertices = sorted({v for es in self.edges for e in es for v in e})
+        return {v: i for i, v in enumerate(vertices)}
 
     @cached_property
     def classes(self) -> list[_ColourClass]:
-        """Colours with identical edge sets, grouped; in order of their
-        lowest member."""
+        """Colours with identical edge sets, grouped, each edge with its
+        bitmask over the dense ids; in order of their lowest member."""
+        index = self.index
+
+        def mask(e: Edge) -> int:
+            mk = 0
+            for v in e:
+                mk |= 1 << index[v]
+            return mk
+
         groups: dict[tuple[Edge, ...], list[int]] = {}
         for colour, es in enumerate(self.edges):
             groups.setdefault(es, []).append(colour)
         return [
-            _ColourClass(tuple(members), es, self.masks[members[0]])
+            _ColourClass(tuple(members), es, tuple(map(mask, es)))
             for es, members in groups.items()
         ]
 
@@ -344,12 +334,13 @@ def _components(table: _Table) -> tuple[list[int], list[int]]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for e in table.mask_of:
-        a = find(index[e[0]])
-        for v in e[1:]:
-            b = find(index[v])
-            if b != a:
-                parent[b] = a
+    for cl in table.classes:
+        for e in cl.edges:
+            a = find(index[e[0]])
+            for v in e[1:]:
+                b = find(index[v])
+                if b != a:
+                    parent[b] = a
     first: dict[int, int] = {}
     label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
     comps = [0] * len(first)
@@ -636,14 +627,14 @@ def greedy_rainbow(
             raise ValueError("color_order must be a permutation of range(n)")
         order = color_order
     t0 = time.perf_counter()
-    table = _table(inst)
-    used = 0
+    edges = _table(inst).edges
+    used: set[int] = set()
     pairs: list[tuple[int, Edge]] = []
     for colour in order:
-        for e, mk in zip(table.edges[colour], table.masks[colour]):
-            if not mk & used:
+        for e in edges[colour]:
+            if used.isdisjoint(e):
                 pairs.append((colour, e))
-                used |= mk
+                used.update(e)
                 break
     stats = SolveStats(wall_time=time.perf_counter() - t0)
     return SolveReport(_pairs_to_rainbow(pairs), CERT_HEURISTIC, stats)
@@ -651,14 +642,13 @@ def greedy_rainbow(
 
 def find_extension(inst: Instance, rm: RainbowMatching) -> tuple[int, Edge] | None:
     """First (lowest colour, lexicographic edge) extension move, if any."""
-    table = _table(inst)
     used_colours = set(rm.colours())
-    used = table.mask(v for _, e in rm.assignment for v in e)
-    for colour in range(inst.n):
+    used = {v for _, e in rm.assignment for v in e}
+    for colour, es in enumerate(_table(inst).edges):
         if colour in used_colours:
             continue
-        for e, mk in zip(table.edges[colour], table.masks[colour]):
-            if not mk & used:
+        for e in es:
+            if used.isdisjoint(e):
                 return colour, e
     return None
 
@@ -705,16 +695,15 @@ def find_swap(
     be extension-maximal.
     """
     colour_of = {e: c for c, e in rm.assignment}
-    mask_of = _table(inst).mask_of
     for e, per_colour in _qualifying_by_edge(inst, rm).items():
         cols = sorted(per_colour)
-        masked = {c: [(f, mask_of[f]) for f in per_colour[c]] for c in cols}
         for ai in range(len(cols)):
             for bi in range(ai + 1, len(cols)):
                 i, j = cols[ai], cols[bi]
-                for f, fm in masked[i]:
-                    for f2, fm2 in masked[j]:
-                        if not fm & fm2:
+                for f in per_colour[i]:
+                    fs = set(f)
+                    for f2 in per_colour[j]:
+                        if fs.isdisjoint(f2):
                             return (colour_of[e], e), (i, f), (j, f2)
     return None
 
@@ -803,7 +792,7 @@ def good_edges(inst: Instance, rm: RainbowMatching) -> GoodEdgeTable:
 # sample and extend
 
 
-def chernoff_tail(n_trials: int, p, epsilon) -> mpmath.mpf:
+def chernoff_tail(n_trials: int, p, epsilon) -> decimal.Decimal:
     """Binomial tail bound ``2 exp(-eps^2 * n p / 3)`` for
     P(|X - E X| >= eps E X), X ~ B(n, p), evaluated to 50 significant
     digits.  Requires 0 < p < 1 and 0 < epsilon < 1."""
@@ -816,8 +805,10 @@ def chernoff_tail(n_trials: int, p, epsilon) -> mpmath.mpf:
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     exponent = -(epsilon ** 2) * n_trials * p / 3
-    with mpmath.workdps(50):
-        return 2 * mpmath.exp(mpmath.mpf(exponent.numerator) / mpmath.mpf(exponent.denominator))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(exponent.numerator) / exponent.denominator
+        return 2 * x.exp()
 
 
 def sample_and_extend(
@@ -850,25 +841,22 @@ def sample_and_extend(
         return SolveReport(RainbowMatching(), CERT_HEURISTIC, SolveStats(seed=seed))
     r = inst.r
     rng = random.Random(seed)
-    table = _table(inst)
+    edges = _table(inst).edges
+    vertices = sorted(inst.vertices())
     p = 4.0 * n ** (-1.0 / (2 * r))
     p_eff = min(p, 1.0)
     inside_needed_sq = r * r * 4 ** r * n  # count >= r 2^r sqrt(n)  <=>  count^2 >= this
-    edges, masks = table.edges, table.masks
 
     checks_met = False
     attempts = 0
-    smask = 0
+    sample: set[int] = set()
     for attempts in range(1, max(1, retries) + 1):
-        # one draw per vertex in sorted order, i.e. per dense id
-        smask = 0
-        for i in range(len(table.index)):
-            if rng.random() < p_eff:
-                smask |= 1 << i
+        # one draw per vertex, in sorted order
+        sample = {v for v in vertices if rng.random() < p_eff}
         ok = True
-        for colour in range(n):
-            inside = sum(1 for mk in masks[colour] if mk & smask == mk)
-            off = sum(1 for mk in masks[colour] if not mk & smask)
+        for es in edges:
+            inside = sum(1 for e in es if sample.issuperset(e))
+            off = sum(1 for e in es if sample.isdisjoint(e))
             if inside * inside < inside_needed_sq or 2 * off < (r + 1) * n:
                 ok = False
                 break
@@ -878,28 +866,26 @@ def sample_and_extend(
 
     restricted = Instance(
         r=inst.r,
-        matchings=tuple(
-            tuple(e for e, mk in zip(edges[c], masks[c]) if not mk & smask) for c in range(n)
-        ),
+        matchings=tuple(tuple(e for e in es if sample.isdisjoint(e)) for es in edges),
         partition=inst.partition,
         meta={**inst.meta, "restricted": "off-sample"},
     )
     inner = local_search_rainbow(restricted, seed=rng.randrange(2 ** 32))
     current = dict(inner.matching.assignment)
-    used = table.mask(v for e in current.values() for v in e)
-    for colour in range(n):
+    used = {v for e in current.values() for v in e}
+    for colour, es in enumerate(edges):
         if colour in current:
             continue
-        for e, mk in zip(edges[colour], masks[colour]):
-            if mk & smask == mk and not mk & used:
+        for e in es:
+            if sample.issuperset(e) and used.isdisjoint(e):
                 current[colour] = e
-                used |= mk
+                used.update(e)
                 break
 
     diagnostics: dict[str, Any] = {
         "p": p,
         "p_effective": p_eff,
-        "sample_size": smask.bit_count(),
+        "sample_size": len(sample),
         "checks_met": checks_met,
         "off_sample_size": inner.size,
     }

@@ -83,6 +83,19 @@ def test_check_gibounds_r_below_two_raises():
         rf.check_gibounds(1, 5, 5, 1)
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [rf.lower_bound_g_prime, rf.upper_bound_g, rf.bounds_h, rf.weak_asymptotic_bound, rf.ach_bound],
+)
+def test_bound_formulas_reject_r_below_one(bound):
+    for r in (0, -2):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            bound(r, 5)
+    for r in (1, 2):  # evaluated and flagged, not raised
+        values = bound(r, 5)
+        assert not any(bv.domain_ok for bv in (values if isinstance(values, tuple) else [values]))
+
+
 def test_floor_and_ceiling_consistent():
     bv = rf.upper_bound_g(3, 1000)
     assert bv.floor <= bv.value <= bv.ceiling

@@ -75,6 +75,12 @@ def test_bounds_csv_format(capsys):
     assert len(out) == 3
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_bounds_rejects_r_below_one(r, capsys):
+    assert main(["bounds", "--r", r, "--n", "5"]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid parameters: r must be >= 1, got {r}")
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "--construction", "k4", "--n", "4"]) == 1  # bad parameter
     assert main(["gen", "--construction", "nope", "--n", "4"]) == 1  # argparse choice

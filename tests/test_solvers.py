@@ -354,6 +354,24 @@ def test_solver_memory_does_not_grow_with_vertex_ids():
             tracemalloc.stop()
         assert peak < 2**20
         assert getattr(result, "size", 2) == 2
+    # nor with edges times vertices: only the exact solver keeps a
+    # V-bit mask per edge, and a random family has nearly every edge
+    # distinct
+    heuristic = [
+        lambda inst: rf.local_search_rainbow(inst, seed=1),
+        lambda inst: rf.greedy_rainbow(inst),
+        lambda inst: rf.good_edges(inst, rf.local_search_rainbow(inst).matching),
+        lambda inst: rf.sample_and_extend(inst, 200, seed=1),
+    ]
+    for solve in heuristic:
+        inst = rf.random_instance(3, 200, 200, 1)
+        tracemalloc.start()
+        try:
+            solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
