@@ -10,7 +10,8 @@ touch floating point.
 
 Out-of-domain parameters are reported through the ``domain_ok`` flag
 rather than raised, so parameter sweeps can tabulate validity domains.
-Only an r below 1, for which no formula is defined, raises ValueError.
+Only an r or an n below 1, for which no formula is defined, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ def _check_r(r: int) -> None:
         raise ValueError(f"r must be >= 1, got {r}")
 
 
+def _check_n(n: int) -> None:
+    """Every bound formula counts n >= 1 matchings."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _rooted_bound(
     formula_id: str,
     base: Fraction,
@@ -128,6 +135,7 @@ def lower_bound_g_prime(r: int, n: int) -> BoundValue:
     """Guaranteed rainbow size for n matchings of size n, unrestricted
     host: ``(2n - C(2r, r)) / (r + 1)``.  Meaningful for r >= 3."""
     _check_r(r)
+    _check_n(n)
     value = Fraction(2 * n - comb(2 * r, r), r + 1)
     ok = r >= 3
     return BoundValue(
@@ -144,6 +152,7 @@ def upper_bound_g(r: int, n: int) -> BoundValue:
     """Upper bound on the r-partite guarantee:
     ``n - n**((r-1)/r) / (12 r)``, valid for r >= 3 and n > 6**r."""
     _check_r(r)
+    _check_n(n)
     if r < 3:
         ok, reason = False, f"requires r >= 3, got {r}"
     elif n <= 6 ** r:
@@ -165,6 +174,7 @@ def bounds_h(r: int, n: int) -> tuple[BoundValue, BoundValue]:
     reason records as unquantified.
     """
     _check_r(r)
+    _check_n(n)
     if r < 3:
         lo_ok, lo_reason = False, f"requires r >= 3, got {r}"
     elif n <= 6 ** r:
@@ -197,6 +207,7 @@ def weak_asymptotic_bound(r: int, n: int) -> BoundValue:
     """Rainbow size guaranteed by n matchings of size ceil((r+1)n/2):
     ``n - 2**r * sqrt(n)``.  Exact when n is a perfect square."""
     _check_r(r)
+    _check_n(n)
     ok = r >= 3
     return _rooted_bound(
         "weak_asymptotic_bound",
@@ -214,6 +225,7 @@ def ach_bound(r: int, n: int) -> BoundValue:
     """Upper bound certified by the paired-gadget construction:
     ``n - 2**(r-2)`` for even n, one more for odd n."""
     _check_r(r)
+    _check_n(n)
     value = Fraction(n - 2 ** (r - 2) + (1 if n % 2 else 0))
     ok = r >= 3
     return BoundValue(

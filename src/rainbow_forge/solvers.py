@@ -5,7 +5,12 @@ identical edge sets (every tightness construction repeats matchings)
 are grouped into classes, and the search assigns each class an
 increasing sequence of edges instead of permuting interchangeable
 colours.  Pruning combines the remaining-colour count with a
-vertex-count relaxation; the reported size is deterministic.
+vertex-count relaxation; the reported size is deterministic.  The
+search state of a class is one integer, the union of its live edges'
+bitmasks: a class is a matching, so the union alone tells how many
+edges are live, which comes first, and which of them an edge picked in
+another class removes.  Every colour must therefore be a matching of
+r-sets; the search raises ValueError naming a colour that is not.
 
 A disjoint union of small pieces, which every family of the paper is,
 is solved one component at a time instead.  A union-find over the
@@ -231,18 +236,6 @@ def _pairs_to_rainbow(pairs: Iterable[tuple[int, Edge]]) -> RainbowMatching:
 # exact search
 
 
-def _class_assignment_to_rainbow(
-    classes: Sequence[_ColourClass], chosen: Sequence[tuple[int, int]]
-) -> RainbowMatching:
-    counts: dict[int, int] = {}
-    pairs = []
-    for ci, pos in chosen:
-        k = counts.get(ci, 0)
-        counts[ci] = k + 1
-        pairs.append((classes[ci].members[k], classes[ci].edges[pos]))
-    return _pairs_to_rainbow(pairs)
-
-
 def _branch_and_bound(
     classes: Sequence[_ColourClass],
     r: int,
@@ -251,22 +244,67 @@ def _branch_and_bound(
 ) -> tuple[RainbowMatching, int, bool]:
     """Search all canonical class assignments.
 
+    The state maps each open class to the union of its live edges'
+    masks; how many colours each class has left to give is one list,
+    changed on the way down and restored on backtrack.  A class's edges
+    are pairwise disjoint r-sets in lexicographic order, which for
+    sorted edges is the order of their lowest dense id, so the union
+    alone holds the class's live edges:
+
+    * there are ``union.bit_count() // r`` of them;
+    * the first holds the union's lowest bit;
+    * dropping an edge clears exactly its bits, so once the picked
+      class's edges up to the chosen one are cleared, the rest is its
+      tail;
+    * another class loses the edges on the picked edge's vertices,
+      found through a per-class map from a vertex bit to the mask of
+      the class edge on it (O(E r) entries, sharing one key per bit).
+
+    The vertex bound's union is the OR of the class unions.  Raises
+    ValueError naming the colour when a class's edges are not pairwise
+    disjoint r-sets, on which these counts, and so the bounds, would
+    be wrong.
+
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag).
     """
     best_size = incumbent.size
     best_witness = incumbent
     nodes = 0
-    chosen: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []  # (class, mask of the chosen edge)
+    left = [len(cl.members) for cl in classes]
+    edge_at: list[dict[int, int]] = []  # per class: vertex bit -> class edge mask
+    start: dict[int, int] = {}  # open class -> union of its live edges
+    bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
+    for ci, cl in enumerate(classes):
+        at: dict[int, int] = {}
+        union = 0
+        for e, mk in zip(cl.edges, cl.masks):
+            if mk.bit_count() != r:
+                raise ValueError(f"colour {cl.members[0]}: edge {e} is not a {r}-set")
+            union |= mk
+            rem = mk
+            while rem:
+                low = rem & -rem
+                at[bits.setdefault(low, low)] = mk
+                rem ^= low
+        if union.bit_count() != r * len(cl.masks):
+            raise ValueError(f"colour {cl.members[0]}: edges intersect, so it is not a matching")
+        edge_at.append(at)
+        if union:
+            start[ci] = union
 
-    # compat maps open class index -> (members_left, tuple of (pos, mask))
-    compat: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
-        ci: (len(cl.members), tuple(enumerate(cl.masks)))
-        for ci, cl in enumerate(classes)
-        if cl.masks
-    }
+    def witness() -> RainbowMatching:
+        counts: dict[int, int] = {}
+        pairs = []
+        for ci, mk in chosen:
+            k = counts.get(ci, 0)
+            counts[ci] = k + 1
+            cl = classes[ci]
+            pairs.append((cl.members[k], cl.edges[cl.masks.index(mk)]))
+        return _pairs_to_rainbow(pairs)
 
-    def dfs(live: dict[int, tuple[int, tuple[tuple[int, int], ...]]]) -> None:
+    def dfs(live: dict[int, int]) -> None:
         nonlocal best_size, best_witness, nodes
         nodes += 1
         if budget is not None and nodes > budget:
@@ -274,49 +312,59 @@ def _branch_and_bound(
         cur = len(chosen)
         if cur > best_size:
             best_size = cur
-            best_witness = _class_assignment_to_rainbow(classes, chosen)
+            best_witness = witness()
         if not live:
             return
         total_ub = 0
         pick = -1
         pick_len = -1
-        for ci, (left, lst) in live.items():
-            total_ub += left if left < len(lst) else len(lst)
-            if pick_len < 0 or len(lst) < pick_len:
-                pick, pick_len = ci, len(lst)
+        union = 0
+        for ci, u in live.items():
+            count = u.bit_count() // r
+            k = left[ci]
+            total_ub += k if k < count else count
+            if pick_len < 0 or count < pick_len:
+                pick, pick_len = ci, count
+            union |= u
         if cur + total_ub <= best_size:
             return
-        union = 0
-        for _, lst in live.values():
-            for _, mk in lst:
-                union |= mk
         if cur + min(total_ub, union.bit_count() // r) <= best_size:
             return
 
-        left, lst = live[pick]
-        for idx, (pos, mk) in enumerate(lst):
-            child: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-            for cj, (lj, ej) in live.items():
+        k = left[pick]
+        left[pick] = k - 1
+        at = edge_at[pick]
+        tail = live[pick]
+        while tail:
+            mk = at[tail & -tail]
+            tail ^= mk  # the class's live edges after this one
+            child: dict[int, int] = {}
+            for cj, u in live.items():
                 if cj == pick:
-                    if left > 1:
-                        tail = tuple(pm for pm in ej[idx + 1 :] if not pm[1] & mk)
-                        if tail:
-                            child[cj] = (left - 1, tail)
-                else:
-                    kept = tuple(pm for pm in ej if not pm[1] & mk)
-                    if kept:
-                        child[cj] = (lj, kept)
-            chosen.append((pick, pos))
+                    if k > 1 and tail:
+                        child[cj] = tail
+                    continue
+                hit = u & mk
+                if hit:
+                    other = edge_at[cj]
+                    while hit:
+                        u ^= other[hit & -hit]
+                        hit = u & mk
+                    if not u:
+                        continue
+                child[cj] = u
+            chosen.append((pick, mk))
             dfs(child)
             chosen.pop()
+        left[pick] = k
         # close the whole class: interchangeable colours make exploring
         # "skip member k, use member k+1" redundant
-        rest = {cj: v for cj, v in live.items() if cj != pick}
+        rest = {cj: u for cj, u in live.items() if cj != pick}
         dfs(rest)
 
     exhausted = False
     try:
-        dfs(compat)
+        dfs(start)
     except _BudgetExhausted:
         exhausted = True
     return best_witness, nodes, exhausted
@@ -583,7 +631,9 @@ def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveRe
     With an unexhausted budget the certificate is ``exact-optimum`` and
     the size is the true maximum; if the search explores ``node_budget``
     nodes first, the best matching found so far is returned with
-    certificate ``heuristic``.
+    certificate ``heuristic``.  The branch-and-bound raises ValueError
+    on a colour that is not a matching of r-sets, which no valid
+    instance has.
     """
     t0 = time.perf_counter()
     incumbent = local_search_rainbow(inst).matching

@@ -96,6 +96,17 @@ def test_bound_formulas_reject_r_below_one(bound):
         assert not any(bv.domain_ok for bv in (values if isinstance(values, tuple) else [values]))
 
 
+@pytest.mark.parametrize(
+    "bound",
+    [rf.lower_bound_g_prime, rf.upper_bound_g, rf.bounds_h, rf.weak_asymptotic_bound, rf.ach_bound],
+)
+def test_bound_formulas_reject_n_below_one(bound):
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            bound(3, n)
+    bound(3, 1)
+
+
 def test_floor_and_ceiling_consistent():
     bv = rf.upper_bound_g(3, 1000)
     assert bv.floor <= bv.value <= bv.ceiling

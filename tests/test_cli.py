@@ -81,6 +81,12 @@ def test_bounds_rejects_r_below_one(r, capsys):
     assert capsys.readouterr().err.startswith(f"invalid parameters: r must be >= 1, got {r}")
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_bounds_rejects_n_below_one(n, capsys):
+    assert main(["bounds", "--r", "3", "--n", n]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid parameters: n must be >= 1, got {n}")
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "--construction", "k4", "--n", "4"]) == 1  # bad parameter
     assert main(["gen", "--construction", "nope", "--n", "4"]) == 1  # argparse choice
@@ -174,6 +180,38 @@ def test_sweep_skips_random_cells_with_size_zero(tmp_path, capsys):
     assert main(argv("random", tmp_path / "empty")) == 1
     assert "no valid grid cells" in capsys.readouterr().err
     assert not (tmp_path / "empty").exists()
+
+
+def test_verify_validates_the_instance_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = rf.core.validate_instance
+
+    def counted(inst):
+        calls.append(inst)
+        return original(inst)
+
+    # every module that binds the name, so that a call by any of them counts
+    for module in (rf.core, rf.fileformat, rf.cli):
+        if getattr(module, "validate_instance", None) is original:
+            monkeypatch.setattr(module, "validate_instance", counted)
+    inst_path = tmp_path / "ach34.rbf"
+    report_path = tmp_path / "ach34.json"
+    main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])
+    main(["solve", "--in", str(inst_path), "--solver", "exact", "--out", str(report_path)])
+    capsys.readouterr()
+    calls.clear()
+    assert main(["verify", "--in", str(inst_path), "--report", str(report_path)]) == 0
+    assert len(calls) == 1
+    assert "ok: instance valid" in capsys.readouterr().out.splitlines()
+
+    # matching 0 gets two edges on vertex 4: the parse rejects the file
+    text = inst_path.read_text()
+    assert "  0 4 5\n  1 2 3\n" in text
+    inst_path.write_text(text.replace("  0 4 5\n  1 2 3\n", "  0 4 5\n  1 2 4\n", 1))
+    calls.clear()
+    assert main(["verify", "--in", str(inst_path), "--report", str(report_path)]) == 2
+    assert len(calls) == 1
+    assert capsys.readouterr().err.startswith("invalid instance:")
 
 
 def test_verify_local_certificate(tmp_path, capsys):

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rainbow_forge as rf
+from rainbow_forge import solvers
 
+from bnb_reference import reference_branch_and_bound
 from oracle import brute_force_max_rainbow
 
 
@@ -118,6 +120,43 @@ def test_exact_budget_exhaustion_is_heuristic():
     full = rf.exact_max_rainbow(inst)
     assert full.certificate == rf.CERT_EXACT
     assert rep.size <= full.size
+
+
+def test_exact_rejects_a_colour_that_is_not_a_matching():
+    # colour 0's edges share vertex 1
+    inst = rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),)))
+    with pytest.raises(ValueError, match="colour 0: edges intersect"):
+        rf.exact_max_rainbow(inst)
+
+
+def test_exact_rejects_an_edge_of_the_wrong_size():
+    inst = rf.Instance(r=3, matchings=(((0, 1, 2),), ((3, 4),)))
+    with pytest.raises(ValueError, match=r"colour 1: edge \(3, 4\) is not a 3-set"):
+        rf.exact_max_rainbow(inst)
+
+
+@st.composite
+def families(draw) -> rf.Instance:
+    """A random family with some matchings repeated (classes of several
+    colours) and some shared edges appended (a dummy lift), n <= 12."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12))
+    base = rf.random_instance(r, n, draw(st.integers(1, 6)), seed=draw(st.integers(0, 10_000)))
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=12 - n))
+    inst = rf.Instance(r, base.matchings + tuple(base.matchings[j] for j in repeats))
+    return rf.dummy_lift(inst, draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(families())
+def test_branch_and_bound_walks_the_reference_search_tree(inst):
+    classes = solvers._table(inst).classes
+    for incumbent in (rf.local_search_rainbow(inst).matching, rf.RainbowMatching()):
+        for budget in (None, 1, 7, 50):
+            # same witness, node count and budget cut-off
+            assert solvers._branch_and_bound(
+                classes, inst.r, budget, incumbent
+            ) == reference_branch_and_bound(classes, inst.r, budget, incumbent)
 
 
 # ---------------------------------------------------------------------------
