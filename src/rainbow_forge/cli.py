@@ -38,6 +38,7 @@ from .solvers import (
     CERT_EXACT,
     CERT_HEURISTIC,
     CERT_LOCAL,
+    DEFAULT_SAMPLE_RETRIES,
     exact_max_rainbow,
     find_extension,
     find_swap,
@@ -101,7 +102,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--solver", required=True, choices=SOLVERS)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--node-budget", type=int, default=None)
-    solve.add_argument("--retries", type=int, default=20)
+    solve.add_argument("--retries", type=int, default=DEFAULT_SAMPLE_RETRIES)
     solve.add_argument("--out", default="-", help="report file, '-' for stdout")
     solve.set_defaults(func=_cmd_solve)
 
@@ -128,7 +129,7 @@ def build_parser() -> _Parser:
     swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--size", type=int, default=None, help="matching size for random cells")
     swp.add_argument("--node-budget", type=int, default=None)
-    swp.add_argument("--retries", type=int, default=20)
+    swp.add_argument("--retries", type=int, default=DEFAULT_SAMPLE_RETRIES)
     swp.add_argument("--jobs", type=int, default=1)
     swp.add_argument("--out", required=True, help="results directory")
     swp.set_defaults(func=_cmd_sweep)
@@ -302,7 +303,7 @@ def _cmd_verify(args) -> int:
             check("good-edge counting inequality", gib.holds, f"lhs {gib.lhs} > rhs {gib.rhs}")
             table = good_edges(inst, rm)
             cap = comb(2 * inst.r, inst.r)
-            for _, e in sorted(rm.assignment):
+            for _, e in rm.assignment:
                 ell = sum(1 for colour in table.good if e in table.good[colour])
                 if ell == 0:
                     continue

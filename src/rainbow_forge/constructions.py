@@ -1,9 +1,8 @@
 """Generators for the extremal rainbow-matching constructions.
 
-Every generator allocates vertices densely from 0, emits matchings with
-edges in lexicographic order, and records its name and parameters in
-the instance metadata.  Partitioned generators supply the r-partition
-explicitly; it is never inferred.  All outputs pass
+Every generator allocates vertices densely from 0 and records its name
+and parameters in the instance metadata.  Partitioned generators supply
+the r-partition explicitly; it is never inferred.  All outputs pass
 :func:`rainbow_forge.core.validate_instance` with an empty report.
 """
 
@@ -30,7 +29,7 @@ def cycle_instance(n: int) -> Instance:
     if n < 2:
         raise ValueError(f"cycle_instance needs n >= 2, got {n}")
     even = tuple((2 * i, 2 * i + 1) for i in range(n))
-    odd = tuple(sorted(make_edge((2 * i + 1, (2 * i + 2) % (2 * n))) for i in range(n)))
+    odd = tuple(make_edge((2 * i + 1, (2 * i + 2) % (2 * n))) for i in range(n))
     matchings = tuple(even for _ in range(n - 1)) + (odd,)
     return Instance(
         r=2,
@@ -57,7 +56,7 @@ def k4_union_instance(n: int) -> Instance:
         for cls, pairs in zip(classes, _K4_CLASSES):
             for a, b in pairs:
                 cls.append((base + a, base + b))
-    red, green, blue = (tuple(sorted(cls)) for cls in classes)
+    red, green, blue = map(tuple, classes)
     matchings = tuple(red for _ in range(n - 2)) + (green, blue)
     return Instance(r=2, matchings=matchings, meta={"generator": "k4", "n": n})
 
@@ -108,9 +107,7 @@ def ach_instance(r: int, n: int) -> Instance:
             class_edges[idx].append(tuple(base + v for v in e))
             class_edges[idx].append(tuple(base + v for v in f))
     last = 2 ** (r - 1) - 1
-    matchings = tuple(
-        tuple(sorted(class_edges[min(i, last)])) for i in range(n)
-    )
+    matchings = tuple(tuple(class_edges[min(i, last)]) for i in range(n))
     return Instance(
         r=r,
         matchings=matchings,
@@ -185,7 +182,7 @@ def blowup_compose(parts: Sequence[BlockingFamily]) -> Instance:
     blocked = sum(bf.blocked_size for bf in parts) - len(parts) + 1
     return Instance(
         r=r,
-        matchings=tuple(tuple(sorted(m)) for m in matchings),
+        matchings=tuple(map(tuple, matchings)),
         partition=tuple(partitions) if partitioned else None,
         meta={
             "generator": "blowup",
@@ -216,7 +213,7 @@ def dummy_lift(inst: Instance, m: int) -> Instance:
     dummies = tuple(
         tuple(range(base + k * inst.r, base + (k + 1) * inst.r)) for k in range(m)
     )
-    matchings = tuple(tuple(sorted(mt + dummies)) for mt in inst.matchings)
+    matchings = tuple(mt + dummies for mt in inst.matchings)
     partition = inst.partition
     if partition is not None:
         partition = partition + tuple(range(inst.r)) * m
@@ -246,10 +243,7 @@ def random_instance(r: int, n: int, s: int, seed: int | None = None) -> Instance
     matchings = []
     for _ in range(n):
         chosen = rng.sample(pool, r * s)
-        edges = tuple(
-            make_edge(chosen[i * r : (i + 1) * r]) for i in range(s)
-        )
-        matchings.append(tuple(sorted(edges)))
+        matchings.append(tuple(make_edge(chosen[i * r : (i + 1) * r]) for i in range(s)))
     return Instance(
         r=r,
         matchings=tuple(matchings),
@@ -302,9 +296,7 @@ def _gadget_family(r: int, n: int) -> Instance:
     """A single gadget copy as n matchings of size 2, blocked at 2."""
     classes = _gadget_classes(r)
     last = 2 ** (r - 1) - 1
-    matchings = tuple(
-        tuple(sorted(classes[min(i, last)])) for i in range(n)
-    )
+    matchings = tuple(classes[min(i, last)] for i in range(n))
     return Instance(
         r=r,
         matchings=matchings,
@@ -426,7 +418,7 @@ def find_blocking_family(
 def _matchings_to_instance(r: int, t: int, state: list[list[Edge]]) -> Instance:
     return Instance(
         r=r,
-        matchings=tuple(tuple(sorted(m)) for m in state),
+        matchings=tuple(map(tuple, state)),
         partition=tuple(j for j in range(r) for _ in range(t)),
         meta={"generator": "blocking-search", "t": t},
     )

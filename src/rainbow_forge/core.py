@@ -8,15 +8,21 @@ together with an injective assignment of colours to edges such that
 each edge belongs to the matching of its assigned colour.
 
 All types are immutable after construction and safe to share between
-threads.  Constructors normalise shapes (tuples of sorted ints and so
-on are expected but not enforced); combinatorial invariants are checked
-by :func:`validate_instance`, which reports violations as data instead
-of raising, so malformed inputs can be inspected.
+threads.  Constructors normalise: every vertex id, part index and
+colour must be an int (``operator.index``, so a float or a string
+raises TypeError), and since a matching and a rainbow matching are
+sets, the edges of each matching are stored in lexicographic order and
+the pairs of an assignment in (colour, edge) order.  Vertex order
+inside an edge is kept as given and repeated edges are kept, so
+:func:`validate_instance` still reports them.  It checks the
+combinatorial invariants and reports violations as data instead of
+raising, so malformed inputs can be inspected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Iterator, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
@@ -27,7 +33,7 @@ Matching = tuple[Edge, ...]
 
 def make_edge(vertices: Iterable[int]) -> Edge:
     """Build an edge tuple in canonical (sorted) vertex order."""
-    return tuple(sorted(int(v) for v in vertices))
+    return tuple(sorted(map(index, vertices)))
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,9 @@ class Instance:
     the r-partite case.  The partition is always supplied by a
     generator, never inferred.  ``meta`` carries generator provenance
     (name, parameters, seed) as plain strings.
+
+    Each matching's edges are stored in lexicographic order, so two
+    instances that differ only in that order are equal.
     """
 
     r: int
@@ -67,10 +76,10 @@ class Instance:
         object.__setattr__(
             self,
             "matchings",
-            tuple(tuple(tuple(int(v) for v in e) for e in m) for m in self.matchings),
+            tuple(tuple(tuple(map(index, e)) for e in sorted(m)) for m in self.matchings),
         )
         if self.partition is not None:
-            object.__setattr__(self, "partition", tuple(int(p) for p in self.partition))
+            object.__setattr__(self, "partition", tuple(map(index, self.partition)))
         object.__setattr__(self, "meta", {str(k): str(v) for k, v in dict(self.meta).items()})
 
     @property
@@ -103,8 +112,9 @@ class Instance:
 class RainbowMatching:
     """An injective colour-to-edge assignment; edges pairwise disjoint.
 
-    ``assignment`` is a tuple of ``(colour, edge)`` pairs.  Validity
-    against a concrete instance is decided by :func:`is_rainbow_matching`.
+    ``assignment`` is a tuple of ``(colour, edge)`` pairs, stored sorted
+    by (colour, edge).  Validity against a concrete instance is decided
+    by :func:`is_rainbow_matching`.
     """
 
     assignment: tuple[tuple[int, Edge], ...] = ()
@@ -113,7 +123,7 @@ class RainbowMatching:
         object.__setattr__(
             self,
             "assignment",
-            tuple((int(c), tuple(int(v) for v in e)) for c, e in self.assignment),
+            tuple(sorted((index(c), tuple(map(index, e))) for c, e in self.assignment)),
         )
 
     @property
@@ -125,23 +135,6 @@ class RainbowMatching:
 
     def edge_set(self) -> tuple[Edge, ...]:
         return tuple(e for _, e in self.assignment)
-
-    def sorted_by_colour(self) -> "RainbowMatching":
-        return RainbowMatching(tuple(sorted(self.assignment)))
-
-
-def canonicalize(inst: Instance) -> Instance:
-    """Return the instance with edges of every matching in sorted order.
-
-    Matching order (colour identity) is preserved.  This is the form
-    the file serializer emits.
-    """
-    return Instance(
-        r=inst.r,
-        matchings=tuple(tuple(sorted(m)) for m in inst.matchings),
-        partition=inst.partition,
-        meta=inst.meta,
-    )
 
 
 def validate_instance(inst: Instance) -> list[Violation]:

@@ -4,9 +4,12 @@ Instances use the plain-text ``rainbow-forge/1`` format, one document
 per instance: a version line, ``r`` and ``n`` counts, an optional
 ``partition`` line (part index per vertex, 0-based), sorted ``meta``
 key-value lines, then one ``matching i`` block per colour with one
-edge per line (r space-separated vertex ids).  Blank lines and ``#``
-comments are ignored on input and never emitted, so serializing a
-canonical instance round-trips byte for byte.
+edge per line (r space-separated vertex ids), in the lexicographic
+order the instance stores them in.  Blank lines and ``#`` comments are
+ignored on input and never emitted, so serialize, parse and serialize
+again gives the same bytes.  A metadata key must be one token without
+whitespace and a value one line without surrounding whitespace; the
+serializer rejects any other, which could not be read back.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.
@@ -18,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import Instance, RainbowMatching, Violation, canonicalize, validate_instance
+from .core import Instance, RainbowMatching, Violation, validate_instance
 
 FORMAT_VERSION = "rainbow-forge/1"
 REPORT_FORMAT = "rainbow-forge-report/1"
@@ -43,16 +46,16 @@ class InstanceValidationError(ValueError):
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Render the canonical form (edges of each matching sorted)."""
-    inst = canonicalize(inst)
+    """Render the documented format; a metadata key or value that
+    :func:`parse_instance` could not read back raises ValueError."""
     lines = [FORMAT_VERSION, f"r {inst.r}", f"n {inst.n}"]
     if inst.partition is not None:
         lines.append("partition " + " ".join(str(p) for p in inst.partition))
     for key in sorted(inst.meta):
         value = inst.meta[key]
-        if "\n" in key or " " in key or not key:
+        if key.split() != [key]:
             raise ValueError(f"metadata key not representable: {key!r}")
-        if "\n" in value or value != value.strip():
+        if len(value.splitlines()) > 1 or value != value.strip():
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
     for i, matching in enumerate(inst.matchings):

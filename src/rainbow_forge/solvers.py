@@ -49,13 +49,13 @@ minimum matching size, which is what the verifier re-checks.
 Tie-breaking everywhere is lowest colour index first, then lexicographic
 edge order; randomised entry points take an explicit seed.
 
-Every solver reads one table per instance, built on first use and kept
-on the instance, so it lives exactly as long as the instance does.  It
-holds each colour's edges in lexicographic order as the original
-tuples.  The greedy, local, good-edge and sampling code test "disjoint
-from the matching" against a set of used vertices, so their memory
-grows with the edges, not with edges times vertices.  Only the exact
-solver works on bitmasks: on first use the table relabels the vertices
+The greedy, local, good-edge and sampling code read the instance's
+matchings, whose edges the constructor keeps in lexicographic order,
+and test "disjoint from the matching" against a set of used vertices,
+so their memory grows with the edges, not with edges times vertices.
+Only the exact solver works on bitmasks, through one table per
+instance, built on first use and kept on the instance, so it lives
+exactly as long as the instance does.  The table relabels the vertices
 densely in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask
 costs V bits whatever the vertex ids are, and groups colours with
 identical edge sets into the exact solver's classes, each edge with its
@@ -69,10 +69,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from .core import Edge, Instance, RainbowMatching, is_rainbow_matching
+from .core import Edge, Instance, Matching, RainbowMatching, is_rainbow_matching
 
 CERT_EXACT = "exact-optimum"
 CERT_LOCAL = "local-optimum"
@@ -182,26 +181,11 @@ class _ColourClass:
 
 
 class _Table:
-    """The solver-side view of one instance (see the module docstring)."""
+    """The exact solver's view of one instance (see the module docstring)."""
 
     def __init__(self, inst: Instance):
-        # canonical instances (every parsed file) are already in order
-        self.edges: list[tuple[Edge, ...]] = [
-            m if all(a < b for a, b in zip(m, m[1:])) else tuple(sorted(set(m)))
-            for m in inst.matchings
-        ]
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        """Dense vertex ids, ``sorted(vertices) -> 0..V-1``."""
-        vertices = sorted({v for es in self.edges for e in es for v in e})
-        return {v: i for i, v in enumerate(vertices)}
-
-    @cached_property
-    def classes(self) -> list[_ColourClass]:
-        """Colours with identical edge sets, grouped, each edge with its
-        bitmask over the dense ids; in order of their lowest member."""
-        index = self.index
+        # dense vertex ids, sorted(vertices) -> 0..V-1
+        index = self.index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
 
         def mask(e: Edge) -> int:
             mk = 0
@@ -209,10 +193,12 @@ class _Table:
                 mk |= 1 << index[v]
             return mk
 
-        groups: dict[tuple[Edge, ...], list[int]] = {}
-        for colour, es in enumerate(self.edges):
+        # colours with identical edge sets, grouped, each edge with its
+        # bitmask over the dense ids; in order of their lowest member
+        groups: dict[Matching, list[int]] = {}
+        for colour, es in enumerate(inst.matchings):
             groups.setdefault(es, []).append(colour)
-        return [
+        self.classes = [
             _ColourClass(tuple(members), es, tuple(map(mask, es)))
             for es, members in groups.items()
         ]
@@ -226,10 +212,6 @@ def _table(inst: Instance) -> _Table:
     if table is None:
         table = inst.__dict__["_solver_table"] = _Table(inst)
     return table
-
-
-def _pairs_to_rainbow(pairs: Iterable[tuple[int, Edge]]) -> RainbowMatching:
-    return RainbowMatching(tuple(sorted(pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +284,7 @@ def _branch_and_bound(
             counts[ci] = k + 1
             cl = classes[ci]
             pairs.append((cl.members[k], cl.edges[cl.masks.index(mk)]))
-        return _pairs_to_rainbow(pairs)
+        return RainbowMatching(tuple(pairs))
 
     def dfs(live: dict[int, int]) -> None:
         nonlocal best_size, best_witness, nodes
@@ -612,7 +594,7 @@ def _by_components(
                 pairs.append((classes[ci].members[given[ci]], classes[ci].edges[where[c][t]]))
                 given[ci] += 1
         rem = child
-    return _pairs_to_rainbow(pairs), nodes, extra
+    return RainbowMatching(tuple(pairs)), nodes, extra
 
 
 def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveReport:
@@ -677,24 +659,24 @@ def greedy_rainbow(
             raise ValueError("color_order must be a permutation of range(n)")
         order = color_order
     t0 = time.perf_counter()
-    edges = _table(inst).edges
+    matchings = inst.matchings
     used: set[int] = set()
     pairs: list[tuple[int, Edge]] = []
     for colour in order:
-        for e in edges[colour]:
+        for e in matchings[colour]:
             if used.isdisjoint(e):
                 pairs.append((colour, e))
                 used.update(e)
                 break
     stats = SolveStats(wall_time=time.perf_counter() - t0)
-    return SolveReport(_pairs_to_rainbow(pairs), CERT_HEURISTIC, stats)
+    return SolveReport(RainbowMatching(tuple(pairs)), CERT_HEURISTIC, stats)
 
 
 def find_extension(inst: Instance, rm: RainbowMatching) -> tuple[int, Edge] | None:
     """First (lowest colour, lexicographic edge) extension move, if any."""
     used_colours = set(rm.colours())
     used = {v for _, e in rm.assignment for v in e}
-    for colour, es in enumerate(_table(inst).edges):
+    for colour, es in enumerate(inst.matchings):
         if colour in used_colours:
             continue
         for e in es:
@@ -714,8 +696,8 @@ def _qualifying_by_edge(
     """
     owner = {v: e for _, e in rm.assignment for v in e}
     used_colours = set(rm.colours())
-    by_edge: dict[Edge, dict[int, list[Edge]]] = {e: {} for _, e in sorted(rm.assignment)}
-    for colour, es in enumerate(_table(inst).edges):
+    by_edge: dict[Edge, dict[int, list[Edge]]] = {e: {} for _, e in rm.assignment}
+    for colour, es in enumerate(inst.matchings):
         if colour in used_colours:
             continue
         for f in es:
@@ -771,7 +753,7 @@ def local_search_rainbow(inst: Instance, seed: int | None = None) -> SolveReport
     swaps = 0
     moves = 0
     while True:
-        rm = _pairs_to_rainbow(current.items())
+        rm = RainbowMatching(tuple(current.items()))
         ext = find_extension(inst, rm)
         if ext is not None:
             current[ext[0]] = ext[1]
@@ -793,7 +775,7 @@ def local_search_rainbow(inst: Instance, seed: int | None = None) -> SolveReport
         wall_time=time.perf_counter() - t0,
         seed=seed,
     )
-    return SolveReport(_pairs_to_rainbow(current.items()), CERT_LOCAL, stats)
+    return SolveReport(RainbowMatching(tuple(current.items())), CERT_LOCAL, stats)
 
 
 def good_edges(inst: Instance, rm: RainbowMatching) -> GoodEdgeTable:
@@ -891,7 +873,6 @@ def sample_and_extend(
         return SolveReport(RainbowMatching(), CERT_HEURISTIC, SolveStats(seed=seed))
     r = inst.r
     rng = random.Random(seed)
-    edges = _table(inst).edges
     vertices = sorted(inst.vertices())
     p = 4.0 * n ** (-1.0 / (2 * r))
     p_eff = min(p, 1.0)
@@ -904,7 +885,7 @@ def sample_and_extend(
         # one draw per vertex, in sorted order
         sample = {v for v in vertices if rng.random() < p_eff}
         ok = True
-        for es in edges:
+        for es in inst.matchings:
             inside = sum(1 for e in es if sample.issuperset(e))
             off = sum(1 for e in es if sample.isdisjoint(e))
             if inside * inside < inside_needed_sq or 2 * off < (r + 1) * n:
@@ -916,14 +897,14 @@ def sample_and_extend(
 
     restricted = Instance(
         r=inst.r,
-        matchings=tuple(tuple(e for e in es if sample.isdisjoint(e)) for es in edges),
+        matchings=tuple(tuple(e for e in es if sample.isdisjoint(e)) for es in inst.matchings),
         partition=inst.partition,
         meta={**inst.meta, "restricted": "off-sample"},
     )
     inner = local_search_rainbow(restricted, seed=rng.randrange(2 ** 32))
     current = dict(inner.matching.assignment)
     used = {v for e in current.values() for v in e}
-    for colour, es in enumerate(edges):
+    for colour, es in enumerate(inst.matchings):
         if colour in current:
             continue
         for e in es:
@@ -951,7 +932,7 @@ def sample_and_extend(
                 n * chernoff_tail(s_min, 1 - (1 - Fraction(p_eff)) ** r, eps)
             )
 
-    result = _pairs_to_rainbow(current.items())
+    result = RainbowMatching(tuple(current.items()))
     if result.size == n:
         stats = SolveStats(
             nodes=inner.stats.nodes,

@@ -33,6 +33,7 @@ from .fileformat import ReportDoc, serialize_instance, serialize_report
 from .solvers import (
     CERT_EXACT,
     CERT_LOCAL,
+    DEFAULT_SAMPLE_RETRIES,
     SampleExtendFailure,
     SolveReport,
     exact_max_rainbow,
@@ -51,7 +52,7 @@ class CellSpec:
     seed: int
     size: int | None = None  # random-matching size, defaults to n
     node_budget: int | None = None
-    retries: int = 20
+    retries: int = DEFAULT_SAMPLE_RETRIES
 
     @property
     def instance_id(self) -> str:
@@ -113,7 +114,7 @@ def run_solver(
     solver: str,
     seed: int | None = None,
     node_budget: int | None = None,
-    retries: int = 20,
+    retries: int = DEFAULT_SAMPLE_RETRIES,
     instance_ref: str | None = None,
 ) -> ReportDoc:
     """Dispatch one solver run and package it as a report document."""
@@ -137,7 +138,7 @@ def run_solver(
         solver=solver,
         certificate=result.certificate,
         size=result.size,
-        assignment=result.matching.sorted_by_colour(),
+        assignment=result.matching,
         stats={
             "nodes": result.stats.nodes,
             "swaps": result.stats.swaps,

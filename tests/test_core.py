@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,10 +82,68 @@ def test_vertex_count_and_min_size():
     assert rf.Instance(r=3, matchings=()).vertex_count() == 0
 
 
-def test_canonicalize_sorts_edges_only():
+def test_constructor_sorts_edges_only():
     inst = rf.Instance(r=2, matchings=(((4, 5), (0, 1)), ((2, 3),)))
-    canon = rf.canonicalize(inst)
-    assert canon.matchings == (((0, 1), (4, 5)), ((2, 3),))
+    assert inst.matchings == (((0, 1), (4, 5)), ((2, 3),))
+    assert inst == rf.Instance(r=2, matchings=(((0, 1), (4, 5)), ((2, 3),)))
+    # colour order, vertex order inside an edge and repeated edges are
+    # kept, so validation still sees them
+    inst = rf.Instance(r=2, matchings=(((2, 3),), ((1, 0),), ((0, 1), (0, 1))))
+    assert inst.matchings == (((2, 3),), ((1, 0),), ((0, 1), (0, 1)))
+    codes = [v.code for v in rf.validate_instance(inst)]
+    assert codes == ["edge-vertices", "intra-matching intersection"]
+
+
+def test_rainbow_matching_sorts_pairs_by_colour_then_edge():
+    rm = rf.RainbowMatching(((2, (4, 5)), (0, (3, 1)), (0, (0, 2))))
+    assert rm.assignment == ((0, (0, 2)), (0, (3, 1)), (2, (4, 5)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rf.RainbowMatching(((0, (0.2, 1.9)),)),
+        lambda: rf.RainbowMatching(((0.0, (0, 1)),)),
+        lambda: rf.RainbowMatching((("0", (0, 1)),)),
+        lambda: rf.Instance(r=2, matchings=(((0, 1.0),),)),
+        lambda: rf.Instance(r=2, matchings=(((0, "1"),),)),
+        lambda: rf.Instance(r=2, matchings=(((0, 1),),), partition=(0, 1.0)),
+    ],
+)
+def test_non_integer_vertex_or_colour_rejected(build):
+    # int() would truncate 0.2 and 1.9 to the edge (0, 1) of colour 0
+    with pytest.raises(TypeError):
+        build()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 4),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+def test_edge_and_pair_order_carry_no_meaning(seed, r, n, s, m, rnd):
+    inst = rf.dummy_lift(rf.random_instance(r, n, s, seed=seed), m)
+    matchings = tuple(tuple(rnd.sample(mt, len(mt))) for mt in inst.matchings)
+    shuffled = rf.Instance(inst.r, matchings, inst.partition, inst.meta)
+    assert shuffled == inst
+    assert rf.serialize_instance(shuffled) == rf.serialize_instance(inst)
+
+    def outcome(report):
+        stats = report.stats
+        return report.matching, report.certificate, stats.nodes, stats.swaps, stats.extra
+
+    local = functools.partial(rf.local_search_rainbow, seed=seed)
+    for solve in (rf.greedy_rainbow, local, rf.exact_max_rainbow):
+        assert outcome(solve(shuffled)) == outcome(solve(inst))
+
+    rm = rf.local_search_rainbow(inst, seed=seed).matching
+    pairs = list(rm.assignment)
+    rnd.shuffle(pairs)
+    assert rf.RainbowMatching(tuple(pairs)) == rm
 
 
 @settings(max_examples=60, deadline=None)

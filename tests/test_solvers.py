@@ -123,10 +123,13 @@ def test_exact_budget_exhaustion_is_heuristic():
 
 
 def test_exact_rejects_a_colour_that_is_not_a_matching():
-    # colour 0's edges share vertex 1
-    inst = rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),)))
-    with pytest.raises(ValueError, match="colour 0: edges intersect"):
-        rf.exact_max_rainbow(inst)
+    # colour 0's edges share vertex 1, or repeat one edge
+    for inst in (
+        rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),))),
+        rf.Instance(r=2, matchings=(((0, 1), (0, 1)), ((0, 1),))),
+    ):
+        with pytest.raises(ValueError, match="colour 0: edges intersect"):
+            rf.exact_max_rainbow(inst)
 
 
 def test_exact_rejects_an_edge_of_the_wrong_size():
