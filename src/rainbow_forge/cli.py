@@ -59,6 +59,10 @@ class UsageError(Exception):
     pass
 
 
+class UnreadableInput(Exception):
+    """An input path that names a directory or a file that is not UTF-8."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we own the exit codes
         raise UsageError(message)
@@ -143,11 +147,20 @@ def _write_out(path: str, text: str) -> None:
         p = Path(path)
         if p.parent != Path(""):
             p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
+
+
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise UnreadableInput(f"{path} is a directory") from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_input(path))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -260,7 +273,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _load_instance(args.input)
-    doc = parse_report(Path(args.report).read_text())
+    doc = parse_report(_read_input(args.report))
     failures: list[str] = []
     checks: list[str] = []
 
@@ -369,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except UnreadableInput as exc:
+        print(f"unreadable file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ raising, so malformed inputs can be inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
+from itertools import chain
+from operator import index, lt
 from typing import Iterable, Iterator, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
@@ -137,6 +138,33 @@ class RainbowMatching:
         return tuple(e for _, e in self.assignment)
 
 
+def _matching_is_valid(m: Matching, r: int, bits: list[int] | None) -> bool:
+    """True when no edge of ``m`` has a violation, checked over the whole
+    matching with C-level builtins.  ``bits[v]`` is ``1 << partition[v]``,
+    given only when every part index is in ``range(r)``."""
+    if not m:
+        return True
+    if set(map(len, m)) != {r}:
+        return False
+    # r·len(m) vertices, all distinct: none repeats in an edge or is shared
+    if len(set(chain.from_iterable(m))) != r * len(m):
+        return False
+    if r == 0:
+        return True
+    cols = list(zip(*m))
+    if min(cols[0]) < 0 or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+        return False
+    if bits is None:
+        return True
+    # the last column holds each edge's largest vertex; r powers of two
+    # below 2^r sum to 2^r - 1 exactly when they are distinct, that is
+    # when the edge meets every part once
+    full = (1 << r) - 1
+    return max(cols[-1]) < len(bits) and all(
+        map(full.__eq__, map(sum, zip(*(map(bits.__getitem__, c) for c in cols))))
+    )
+
+
 def validate_instance(inst: Instance) -> list[Violation]:
     """Check every instance invariant; an empty report means valid.
 
@@ -145,26 +173,39 @@ def validate_instance(inst: Instance) -> list[Violation]:
     increasing non-negative), ``intra-matching intersection``,
     ``partition-coverage`` (vertex missing from partition) and
     ``partition-edge`` (edge not meeting every part exactly once).
+
+    Each matching is first checked as a whole (edge lengths, distinct
+    vertices, vertex order column by column, and part sums) with C-level
+    builtins; only a matching that fails goes through the per-edge pass,
+    which is the only code that reports its violations, in edge order.
     """
     out: list[Violation] = []
-    if inst.r < 2:
-        out.append(Violation("uniformity", f"r must be >= 2, got {inst.r}"))
+    r = inst.r
+    if r < 2:
+        out.append(Violation("uniformity", f"r must be >= 2, got {r}"))
     part = inst.partition
+    bits = None
     if part is not None:
-        for v, p in enumerate(part):
-            if not 0 <= p < inst.r:
-                out.append(
-                    Violation("partition-part", f"vertex {v} assigned part {p}, expected 0..{inst.r - 1}")
-                )
+        if min(part, default=0) >= 0 and max(part, default=0) < r:
+            bits = list(map((1).__lshift__, part))
+        else:
+            for v, p in enumerate(part):
+                if not 0 <= p < r:
+                    out.append(
+                        Violation("partition-part", f"vertex {v} assigned part {p}, expected 0..{r - 1}")
+                    )
     for j, matching in enumerate(inst.matchings):
+        # with a part out of range only the per-edge pass tells which edges it spoils
+        if (part is None or bits is not None) and _matching_is_valid(matching, r, bits):
+            continue
         owner: dict[int, int] = {}
         for k, e in enumerate(matching):
-            if len(e) != inst.r:
+            if len(e) != r:
                 out.append(
-                    Violation("edge-arity", f"edge has {len(e)} vertices, expected {inst.r}", j, k)
+                    Violation("edge-arity", f"edge has {len(e)} vertices, expected {r}", j, k)
                 )
                 continue
-            if e[0] < 0 or any(a >= b for a, b in zip(e, e[1:])):
+            if (e and e[0] < 0) or any(a >= b for a, b in zip(e, e[1:])):
                 out.append(
                     Violation("edge-vertices", "vertices must be non-negative and strictly increasing", j, k)
                 )
@@ -186,7 +227,7 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(
                         Violation("partition-coverage", "edge uses a vertex missing from the partition", j, k)
                     )
-                elif sorted(part[v] for v in e) != list(range(inst.r)):
+                elif sorted(part[v] for v in e) != list(range(r)):
                     out.append(
                         Violation("partition-edge", "edge must meet every part exactly once", j, k)
                     )

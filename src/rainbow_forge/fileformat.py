@@ -5,11 +5,14 @@ per instance: a version line, ``r`` and ``n`` counts, an optional
 ``partition`` line (part index per vertex, 0-based), sorted ``meta``
 key-value lines, then one ``matching i`` block per colour with one
 edge per line (r space-separated vertex ids), in the lexicographic
-order the instance stores them in.  Blank lines and ``#`` comments are
+order the instance stores them in.  The ``r``, ``n`` and ``partition``
+lines appear at most once each, and a metadata key once; the parser
+rejects a repeated one at its line.  Blank lines and ``#`` comments are
 ignored on input and never emitted, so serialize, parse and serialize
 again gives the same bytes.  A metadata key must be one token without
 whitespace and a value one line without surrounding whitespace; the
-serializer rejects any other, which could not be read back.
+serializer rejects any other, and an edge of other than r vertices,
+which could not be read back.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.
@@ -46,11 +49,12 @@ class InstanceValidationError(ValueError):
 
 
 def serialize_instance(inst: Instance) -> str:
-    """Render the documented format; a metadata key or value that
-    :func:`parse_instance` could not read back raises ValueError."""
+    """Render the documented format; a metadata key or value, or an edge
+    of other than r vertices, that :func:`parse_instance` could not read
+    back raises ValueError."""
     lines = [FORMAT_VERSION, f"r {inst.r}", f"n {inst.n}"]
     if inst.partition is not None:
-        lines.append("partition " + " ".join(str(p) for p in inst.partition))
+        lines.append("partition " + " ".join(map(str, inst.partition)))
     for key in sorted(inst.meta):
         value = inst.meta[key]
         if key.split() != [key]:
@@ -58,10 +62,15 @@ def serialize_instance(inst: Instance) -> str:
         if len(value.splitlines()) > 1 or value != value.strip():
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
+    edge_line = ("  " + " ".join(["%d"] * inst.r)).__mod__
     for i, matching in enumerate(inst.matchings):
         lines.append(f"matching {i}")
-        for e in matching:
-            lines.append("  " + " ".join(str(v) for v in e))
+        try:
+            lines.extend(map(edge_line, matching))
+        except TypeError:
+            raise ValueError(
+                f"matching {i} has an edge of other than {inst.r} vertices, not representable"
+            ) from None
     return "\n".join(lines) + "\n"
 
 
@@ -72,11 +81,15 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
         raise ParseError(f"expected an integer {what}, got {token!r}", lineno) from None
 
 
+_HEADERS = frozenset({"r", "n", "partition", "meta", "matching"})
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the documented format; reject invariant violations.
 
-    Malformed structure raises :class:`ParseError` with the offending
-    line; a well-formed document describing an invalid instance raises
+    Malformed structure, a repeated ``r``, ``n`` or ``partition`` line
+    included, raises :class:`ParseError` with the offending line; a
+    well-formed document describing an invalid instance raises
     :class:`InstanceValidationError` listing every violation.
     """
     version_seen = False
@@ -85,27 +98,51 @@ def parse_instance(text: str) -> Instance:
     partition: tuple[int, ...] | None = None
     meta: dict[str, str] = {}
     matchings: list[list[tuple[int, ...]]] = []
+    current: list[tuple[int, ...]] | None = None  # the last matching's edges
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() and strip() agree on whitespace: no tokens is a blank line
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
         if not version_seen:
+            line = raw.strip()
             if line != FORMAT_VERSION:
                 raise ParseError(f"expected version line {FORMAT_VERSION!r}, got {line!r}", lineno)
             version_seen = True
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "r":
+        if head not in _HEADERS:
+            if current is None:
+                raise ParseError(f"unexpected line before any matching: {raw.strip()!r}", lineno)
+            if r is None:
+                raise ParseError("edge seen before the r line", lineno)
+            try:
+                vertices = tuple(map(int, tokens))
+            except ValueError:
+                vertices = tuple(_parse_int(t, "vertex id", lineno) for t in tokens)
+            if len(vertices) != r:
+                raise ParseError(
+                    f"edge {len(current)} of matching {len(matchings) - 1}: "
+                    f"expected {r} vertices, got {len(vertices)}",
+                    lineno,
+                )
+            current.append(vertices)
+        elif head == "r":
+            if r is not None:
+                raise ParseError("duplicate r line", lineno)
             if len(tokens) != 2:
                 raise ParseError("r line takes exactly one value", lineno)
             r = _parse_int(tokens[1], "uniformity", lineno)
         elif head == "n":
+            if declared_n is not None:
+                raise ParseError("duplicate n line", lineno)
             if len(tokens) != 2:
                 raise ParseError("n line takes exactly one value", lineno)
             declared_n = _parse_int(tokens[1], "matching count", lineno)
         elif head == "partition":
+            if partition is not None:
+                raise ParseError("duplicate partition line", lineno)
             partition = tuple(_parse_int(t, "part index", lineno) for t in tokens[1:])
         elif head == "meta":
             if len(tokens) < 2:
@@ -113,8 +150,8 @@ def parse_instance(text: str) -> Instance:
             key = tokens[1]
             if key in meta:
                 raise ParseError(f"duplicate metadata key {key!r}", lineno)
-            meta[key] = line.split(maxsplit=2)[2] if len(tokens) > 2 else ""
-        elif head == "matching":
+            meta[key] = raw.strip().split(maxsplit=2)[2] if len(tokens) > 2 else ""
+        else:
             if len(tokens) != 2:
                 raise ParseError("matching line takes exactly one index", lineno)
             idx = _parse_int(tokens[1], "matching index", lineno)
@@ -123,20 +160,8 @@ def parse_instance(text: str) -> Instance:
                     f"matching indices must be sequential, expected {len(matchings)} got {idx}",
                     lineno,
                 )
-            matchings.append([])
-        else:
-            if not matchings:
-                raise ParseError(f"unexpected line before any matching: {line!r}", lineno)
-            if r is None:
-                raise ParseError("edge seen before the r line", lineno)
-            vertices = tuple(_parse_int(t, "vertex id", lineno) for t in tokens)
-            if len(vertices) != r:
-                raise ParseError(
-                    f"edge {len(matchings[-1])} of matching {len(matchings) - 1}: "
-                    f"expected {r} vertices, got {len(vertices)}",
-                    lineno,
-                )
-            matchings[-1].append(vertices)
+            current = []
+            matchings.append(current)
     if not version_seen:
         raise ParseError("empty document", max(lineno, 1))
     if r is None:

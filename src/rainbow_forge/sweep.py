@@ -207,7 +207,7 @@ def _run_cell(args: tuple[CellSpec, str]) -> dict[str, Any]:
     # concurrent cells that share an instance write identical bytes;
     # publish through a per-cell temp file so the path is always whole
     tmp = root / f"instances/.{spec.cell_id}.tmp"
-    tmp.write_text(serialize_instance(inst))
+    tmp.write_text(serialize_instance(inst), encoding="utf-8")
     os.replace(tmp, root / inst_rel)
     doc = run_solver(
         inst,
@@ -217,7 +217,7 @@ def _run_cell(args: tuple[CellSpec, str]) -> dict[str, Any]:
         retries=spec.retries,
         instance_ref=f"../{inst_rel}",
     )
-    (root / report_rel).write_text(serialize_report(doc))
+    (root / report_rel).write_text(serialize_report(doc), encoding="utf-8")
     record: dict[str, Any] = {
         "cell": spec.cell_id,
         "construction": spec.construction,
@@ -307,10 +307,10 @@ def run_sweep(
     else:
         records = [_run_cell(t) for t in tasks]
 
-    with open(sweep_dir / "records.jsonl", "w") as fh:
+    with open(sweep_dir / "records.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(sweep_dir / "summary.csv", "w", newline="") as fh:
+    with open(sweep_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for record in records:

@@ -87,6 +87,46 @@ def test_bounds_rejects_n_below_one(n, capsys):
     assert capsys.readouterr().err.startswith(f"invalid parameters: n must be >= 1, got {n}")
 
 
+def test_unreadable_inputs_exit_2_naming_the_path(tmp_path, capsys):
+    inst_path = tmp_path / "a.rbf"
+    main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])
+    report_path = tmp_path / "a.json"
+    main(["solve", "--in", str(inst_path), "--solver", "exact", "--out", str(report_path)])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin.rbf"
+    latin.write_bytes(inst_path.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    latin_report = tmp_path / "latin.json"
+    note = '{"note": "caf\xe9",'.encode("latin-1")
+    latin_report.write_bytes(report_path.read_bytes().replace(b"{", note, 1))
+    capsys.readouterr()
+    cases = [
+        (["solve", "--in", str(folder), "--solver", "exact"], f"{folder} is a directory"),
+        (["verify", "--in", str(folder), "--report", str(report_path)], f"{folder} is a directory"),
+        (["verify", "--in", str(inst_path), "--report", str(folder)], f"{folder} is a directory"),
+        (["gen", "--construction", "dummy", "--in", str(folder), "--m", "1"], f"{folder} is a directory"),
+        (["solve", "--in", str(latin), "--solver", "exact"], f"{latin} is not UTF-8 text"),
+        (["verify", "--in", str(latin), "--report", str(report_path)], f"{latin} is not UTF-8 text"),
+        (
+            ["verify", "--in", str(inst_path), "--report", str(latin_report)],
+            f"{latin_report} is not UTF-8 text",
+        ),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"unreadable file: {message}"), argv
+
+
+def test_instance_files_are_utf8(tmp_path):
+    inst_path = tmp_path / "a.rbf"
+    inst = rf.Instance(r=2, matchings=(((0, 1),),), meta={"note": "caf\xe9"})
+    inst_path.write_bytes(rf.serialize_instance(inst).encode("utf-8"))
+    out = tmp_path / "lifted.rbf"
+    argv = ["gen", "--construction", "dummy", "--in", str(inst_path), "--m", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert rf.parse_instance(out.read_text(encoding="utf-8")).meta["note"] == "caf\xe9"
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "--construction", "k4", "--n", "4"]) == 1  # bad parameter
     assert main(["gen", "--construction", "nope", "--n", "4"]) == 1  # argparse choice

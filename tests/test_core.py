@@ -41,6 +41,16 @@ def test_uniformity_below_two_flagged():
     assert any(v.code == "uniformity" for v in report)
 
 
+def test_empty_edges_at_r_zero_report_only_uniformity():
+    # an empty edge has no vertex to be negative, repeated or shared
+    inst = rf.Instance(r=0, matchings=(((), ()), ((), (0,))))
+    report = rf.validate_instance(inst)
+    assert [(v.code, v.matching, v.edge) for v in report] == [
+        ("uniformity", None, None),
+        ("edge-arity", 1, 1),
+    ]
+
+
 def test_partition_coverage_flagged():
     inst = rf.Instance(r=2, matchings=(((0, 5),),), partition=(0, 1))
     assert any(v.code == "partition-coverage" for v in rf.validate_instance(inst))

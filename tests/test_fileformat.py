@@ -99,6 +99,20 @@ def test_version_and_structure_errors():
         rf.parse_instance("rainbow-forge/1\nn 0\n")
     with pytest.raises(rf.ParseError, match="duplicate metadata"):
         rf.parse_instance("rainbow-forge/1\nr 2\nn 0\nmeta a 1\nmeta a 2\n")
+    # a repeated header line is rejected at that line, not let overwrite the first
+    with pytest.raises(rf.ParseError, match="line 3: duplicate r line"):
+        rf.parse_instance("rainbow-forge/1\nr 2\nr 2\nn 0\n")
+    with pytest.raises(rf.ParseError, match="line 7: duplicate n line"):
+        rf.parse_instance("rainbow-forge/1\nr 2\nn 1\nmatching 0\n0 1\nmatching 1\nn 2\n2 3\n")
+    with pytest.raises(rf.ParseError, match="line 5: duplicate partition line"):
+        rf.parse_instance("rainbow-forge/1\nr 2\nn 0\npartition 0 1\npartition 1 0\n")
+
+
+def test_edge_of_other_arity_not_serialized():
+    # parse_instance would reject the edge line, so the file could not be read back
+    inst = rf.Instance(r=3, matchings=(((0, 1, 2), (3, 4)),))
+    with pytest.raises(ValueError, match="matching 0 has an edge of other than 3 vertices"):
+        rf.serialize_instance(inst)
 
 
 def test_report_round_trip():

@@ -1,0 +1,190 @@
+"""The fast instance checks and parser against their per-vertex references.
+
+Valid families (r 0..5, partitioned or not) are corrupted in every way a
+violation code or a parse error covers, and ``validate_instance`` and
+``parse_instance`` must agree with ``io_reference`` on the result: equal
+violation lists in equal order, equal ``ParseError`` text and line, and
+equal instances.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rainbow_forge as rf
+import io_reference
+
+PER_PART = 5  # vertices in each part of a generated family
+
+
+def _pick_edge(rnd: random.Random, matchings):
+    edges = [(m, k) for m in matchings for k in range(len(m))]
+    return rnd.choice(edges) if edges else (None, None)
+
+
+def _arity(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if m is not None:
+        e = m[k]
+        m[k] = e[:-1] if e and rnd.random() < 0.5 else e + [rnd.randrange(r * PER_PART + 2)]
+
+
+def _negative(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if m is not None and m[k]:
+        m[k][rnd.randrange(len(m[k]))] = -rnd.randint(1, 3)
+
+
+def _repeated(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if m is not None and len(m[k]) > 1:
+        i, j = rnd.sample(range(len(m[k])), 2)
+        m[k][i] = m[k][j]
+
+
+def _unsorted(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if m is not None and len(m[k]) > 1:
+        i, j = rnd.sample(range(len(m[k])), 2)
+        m[k][i], m[k][j] = m[k][j], m[k][i]
+
+
+def _shared(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if m is not None and len(m) > 1 and m[k]:
+        other = rnd.choice([e for i, e in enumerate(m) if i != k and e])
+        m[k][rnd.randrange(len(m[k]))] = rnd.choice(other)
+        m[k].sort()
+
+
+def _part_out_of_range(rnd, r, matchings, part):
+    if part:
+        part[rnd.randrange(len(part))] = rnd.choice([-1, r, r + 2])
+
+
+def _beyond_partition(rnd, r, matchings, part):
+    m, k = _pick_edge(rnd, matchings)
+    if part is not None and m is not None and m[k]:
+        m[k][-1] = len(part) + rnd.randrange(3)
+
+
+def _missing_part(rnd, r, matchings, part):
+    # move one vertex to another part: its edges then meet that part twice
+    if part and r > 1:
+        v = rnd.randrange(len(part))
+        part[v] = (part[v] + rnd.randrange(1, r)) % r
+
+
+def _short_partition(rnd, r, matchings, part):
+    if part:
+        del part[rnd.randrange(len(part)) :]
+
+
+CORRUPTIONS = (
+    _arity,
+    _negative,
+    _repeated,
+    _unsorted,
+    _shared,
+    _part_out_of_range,
+    _beyond_partition,
+    _missing_part,
+    _short_partition,
+)
+
+
+@st.composite
+def families(draw):
+    """(r, matchings, partition): a valid family, then 0 to 3 corruptions.
+
+    Part ``p`` holds the vertices ``relabel[q * r + p]``, and the edges of
+    a matching take distinct vertices from every part, so the family is
+    valid before it is corrupted.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    r = draw(st.integers(0, 5))
+    relabel = list(range(r * PER_PART))
+    rnd.shuffle(relabel)
+    part = [0] * len(relabel)
+    for v, label in enumerate(relabel):
+        part[label] = v % r
+    matchings = []
+    for _ in range(draw(st.integers(0, 4))):
+        k = rnd.randint(0, PER_PART)
+        rows = [rnd.sample(range(PER_PART), k) for _ in range(r)]
+        matchings.append([sorted(relabel[rows[p][i] * r + p] for p in range(r)) for i in range(k)])
+    if not draw(st.booleans()):
+        part = None
+    for _ in range(draw(st.integers(0, 3))):
+        rnd.choice(CORRUPTIONS)(rnd, r, matchings, part)
+    return r, matchings, part
+
+
+def _instance(r, matchings, part) -> rf.Instance:
+    return rf.Instance(r=r, matchings=tuple(tuple(map(tuple, m)) for m in matchings), partition=part)
+
+
+@settings(max_examples=400, deadline=None)
+@given(families())
+def test_validate_instance_matches_reference(family):
+    inst = _instance(*family)
+    try:
+        expected = io_reference.validate_instance(inst)
+    except IndexError:
+        # the reference reads e[0] of an empty edge, which only r = 0
+        # lets through; such an edge has no vertex to violate anything
+        assert inst.r == 0 and any(() in m for m in inst.matchings)
+        got = rf.validate_instance(inst)
+        assert got[0].code == "uniformity"
+        assert all(inst.matchings[v.matching][v.edge] for v in got[1:])
+        return
+    assert rf.validate_instance(inst) == expected
+
+
+def _text(rnd: random.Random, r, matchings, part) -> str:
+    """The family in the file format, edge lines in the order given (so
+    an unsorted or wrong-arity edge reaches the parser), then 0 to 2
+    corrupted lines."""
+    lines = [rf.FORMAT_VERSION, f"r {r}", f"n {len(matchings)}"]
+    if part is not None:
+        lines.append("partition " + " ".join(map(str, part)))
+    for i, m in enumerate(matchings):
+        lines.append(f"matching {i}")
+        lines.extend("  " + " ".join(map(str, e)) for e in m)
+    for _ in range(rnd.randint(0, 2)):
+        i = rnd.randrange(1, len(lines))
+        tokens = lines[i].split()
+        kind = rnd.choice(("token", "short", "drop", "comment", "blank", "tabs"))
+        if kind == "token" and tokens:
+            tokens[rnd.randrange(len(tokens))] = rnd.choice(["x", "1.5", "-", "0x1", "2e3", "+1", "1_0"])
+            lines[i] = "  " + " ".join(tokens)
+        elif kind == "short" and tokens:
+            lines[i] = " ".join(tokens[:-1])
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "comment":
+            lines.insert(i, "# " + lines[i])
+        elif kind == "blank":
+            lines.insert(i, rnd.choice(["", "   ", "\t"]))
+        elif kind == "tabs":
+            lines[i] = "\t" + "\t ".join(tokens) + " \t"
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except rf.ParseError as exc:
+        return ("parse", str(exc), exc.line)
+    except rf.InstanceValidationError as exc:
+        return ("invalid", exc.violations)
+
+
+@settings(max_examples=400, deadline=None)
+@given(families(), st.randoms(use_true_random=False))
+def test_parse_instance_matches_reference(family, rnd):
+    text = _text(rnd, *family)
+    assert _outcome(rf.parse_instance, text) == _outcome(io_reference.parse_instance, text)
