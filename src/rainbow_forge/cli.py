@@ -63,6 +63,10 @@ class UnreadableInput(Exception):
     """An input path that names a directory or a file that is not UTF-8."""
 
 
+class UnwritableOutput(Exception):
+    """An output path that names a directory."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we own the exit codes
         raise UsageError(message)
@@ -147,7 +151,10 @@ def _write_out(path: str, text: str) -> None:
         p = Path(path)
         if p.parent != Path(""):
             p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text, encoding="utf-8")
+        try:
+            p.write_text(text, encoding="utf-8")
+        except IsADirectoryError:
+            raise UnwritableOutput(f"{path} is a directory") from None
 
 
 def _read_input(path: str) -> str:
@@ -385,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except UnreadableInput as exc:
         print(f"unreadable file: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except UnwritableOutput as exc:
+        print(f"unwritable file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -11,8 +11,11 @@ Records carry everything needed to recompute their pass/fail fields,
 and each cell is independently re-checkable with ``verify`` from the
 persisted instance and report alone.  Identical invocations with the
 same seed produce byte-identical records except for wall-time fields.
-Cells may run concurrently (each writes only its own files); the
-record list and summary are reduced by a single writer at the end.
+The cells that share an instance run as one task, which builds the
+instance and writes its file once and then runs each solver cell on it.
+Instance tasks may run concurrently (each writes only its own files);
+the record list and summary are reduced by a single writer at the end,
+in grid order.
 """
 
 from __future__ import annotations
@@ -197,46 +200,56 @@ def bound_checks(spec: CellSpec, inst: Instance, doc: ReportDoc) -> dict[str, An
     return out
 
 
-def _run_cell(args: tuple[CellSpec, str]) -> dict[str, Any]:
-    spec, out_dir = args
+def _run_instance(args: tuple[list[CellSpec], str]) -> list[dict[str, Any]]:
+    """Build, write and solve one instance: every spec shares its
+    ``instance_id``.  Returns one record per spec, in spec order; the
+    first record's ``wall_time`` includes the build and the write."""
+    specs, out_dir = args
     root = Path(out_dir)
     t0 = time.perf_counter()
-    inst = build_instance(spec)
-    inst_rel = f"instances/{spec.instance_id}.rbf"
-    report_rel = f"reports/{spec.cell_id}.json"
-    # concurrent cells that share an instance write identical bytes;
-    # publish through a per-cell temp file so the path is always whole
-    tmp = root / f"instances/.{spec.cell_id}.tmp"
+    instance_id = specs[0].instance_id
+    inst = build_instance(specs[0])
+    inst_rel = f"instances/{instance_id}.rbf"
+    # publish through a temp file so the path is only ever seen whole
+    tmp = root / f"instances/.{instance_id}.tmp"
     tmp.write_text(serialize_instance(inst), encoding="utf-8")
     os.replace(tmp, root / inst_rel)
-    doc = run_solver(
-        inst,
-        spec.solver,
-        seed=spec.seed,
-        node_budget=spec.node_budget,
-        retries=spec.retries,
-        instance_ref=f"../{inst_rel}",
-    )
-    (root / report_rel).write_text(serialize_report(doc), encoding="utf-8")
-    record: dict[str, Any] = {
-        "cell": spec.cell_id,
-        "construction": spec.construction,
-        "r": spec.r,
-        "n": spec.n,
-        "solver": spec.solver,
-        "seed": spec.seed,
-        "size": doc.size,
-        "certificate": doc.certificate
-        if doc.failure is None
-        else f"failure-{doc.failure['stage']}",
-        "min_matching_size": inst.min_matching_size(),
-        "vertex_count": inst.vertex_count(),
-        "bounds": bound_checks(spec, inst, doc),
-        "instance_file": inst_rel,
-        "report_file": report_rel,
-        "wall_time": time.perf_counter() - t0,
-    }
-    return record
+    min_matching_size = inst.min_matching_size()
+    vertex_count = inst.vertex_count()
+    records = []
+    for spec in specs:
+        report_rel = f"reports/{spec.cell_id}.json"
+        doc = run_solver(
+            inst,
+            spec.solver,
+            seed=spec.seed,
+            node_budget=spec.node_budget,
+            retries=spec.retries,
+            instance_ref=f"../{inst_rel}",
+        )
+        (root / report_rel).write_text(serialize_report(doc), encoding="utf-8")
+        records.append(
+            {
+                "cell": spec.cell_id,
+                "construction": spec.construction,
+                "r": spec.r,
+                "n": spec.n,
+                "solver": spec.solver,
+                "seed": spec.seed,
+                "size": doc.size,
+                "certificate": doc.certificate
+                if doc.failure is None
+                else f"failure-{doc.failure['stage']}",
+                "min_matching_size": min_matching_size,
+                "vertex_count": vertex_count,
+                "bounds": bound_checks(spec, inst, doc),
+                "instance_file": inst_rel,
+                "report_file": report_rel,
+                "wall_time": time.perf_counter() - t0,
+            }
+        )
+        t0 = time.perf_counter()
+    return records
 
 
 _CSV_COLUMNS = [
@@ -300,12 +313,21 @@ def run_sweep(
         sweep_dir = root / "sweeps" / f"{stamp}-{suffix}"
     sweep_dir.mkdir(parents=True)
 
-    tasks = [(spec, str(root)) for spec in cells]
+    # one task per instance, in order of first appearance; a task holds
+    # its instance only while it runs
+    groups: dict[str, list[int]] = {}
+    for i, spec in enumerate(cells):
+        groups.setdefault(spec.instance_id, []).append(i)
+    tasks = [([cells[i] for i in group], str(root)) for group in groups.values()]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell, tasks))
+            results = list(pool.map(_run_instance, tasks))
     else:
-        records = [_run_cell(t) for t in tasks]
+        results = [_run_instance(t) for t in tasks]
+    records: list[dict[str, Any]] = [{}] * len(cells)
+    for group, group_records in zip(groups.values(), results):
+        for i, record in zip(group, group_records):
+            records[i] = record
 
     with open(sweep_dir / "records.jsonl", "w", encoding="utf-8") as fh:
         for record in records:

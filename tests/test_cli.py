@@ -117,6 +117,27 @@ def test_unreadable_inputs_exit_2_naming_the_path(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"unreadable file: {message}"), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--construction", "ach", "--r", "3", "--n", "4"],
+        ["solve", "--in", "{inst}", "--solver", "exact"],
+        ["bounds", "--r", "3", "--n", "4"],
+    ],
+    ids=["gen", "solve", "bounds"],
+)
+def test_output_directory_exits_2_naming_the_path(tmp_path, capsys, argv):
+    inst_path = tmp_path / "a.rbf"
+    main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    capsys.readouterr()
+    argv = [a.format(inst=inst_path) for a in argv] + ["--out", str(folder)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"unwritable file: {folder} is a directory")
+    assert list(folder.iterdir()) == []
+
+
 def test_instance_files_are_utf8(tmp_path):
     inst_path = tmp_path / "a.rbf"
     inst = rf.Instance(r=2, matchings=(((0, 1),),), meta={"note": "caf\xe9"})
@@ -323,3 +344,34 @@ def test_sweep_concurrent_matches_serial(tmp_path, capsys):
         ]
 
     assert strip_timing(records(tmp_path / "serial")) == strip_timing(records(tmp_path / "parallel"))
+
+
+def test_sweep_concurrent_instance_groups_match_serial(tmp_path, capsys):
+    # four solver cells per instance: each task runs a group of cells
+    argv = lambda out, jobs: [
+        "sweep", "--construction", "cycle,ach,random", "--r", "2..3", "--n", "4..5",
+        "--solver", "exact,greedy,local,sample", "--seed", "4", "--jobs", jobs,
+        "--out", str(out),
+    ]
+    assert main(argv(tmp_path / "serial", "1")) == 0
+    assert main(argv(tmp_path / "parallel", "3")) == 0
+    capsys.readouterr()
+
+    def records(root):
+        sweep_dir = next((root / "sweeps").iterdir())
+        return [
+            json.loads(line)
+            for line in (sweep_dir / "records.jsonl").read_text().splitlines()
+        ]
+
+    def files(root, folder):
+        return {
+            path.name: [line for line in path.read_text().splitlines() if '"wall_time"' not in line]
+            for path in (root / folder).iterdir()
+        }
+
+    serial = records(tmp_path / "serial")
+    assert len(serial) == 4 * len(files(tmp_path / "serial", "instances"))
+    assert strip_timing(serial) == strip_timing(records(tmp_path / "parallel"))
+    for folder in ("instances", "reports"):
+        assert files(tmp_path / "serial", folder) == files(tmp_path / "parallel", folder)

@@ -64,3 +64,33 @@ def test_registry_calls_functions_by_module_name(monkeypatch, name):
     monkeypatch.setattr(sweep, name, lambda *a, **k: calls.append(name) or real(*a, **k))
     REGISTRY_CALLS[name]()
     assert calls == [name]
+
+
+def test_run_sweep_builds_and_writes_each_instance_once(tmp_path, monkeypatch):
+    a = lambda solver: CellSpec("random", 3, 4, solver, 1)
+    b = lambda solver: CellSpec("random", 3, 5, solver, 1)
+    cells = [a("exact"), b("exact"), a("local"), b("greedy"), a("sample")]
+    built, serialized = [], []
+    real_build, real_serialize = sweep.random_instance, sweep.serialize_instance
+    monkeypatch.setattr(
+        sweep, "random_instance", lambda *args: built.append(args) or real_build(*args)
+    )
+    monkeypatch.setattr(
+        sweep, "serialize_instance", lambda inst: serialized.append(inst.n) or real_serialize(inst)
+    )
+
+    _, records = sweep.run_sweep(cells, tmp_path, stamp="s")
+
+    assert built == [(3, 4, 4, 1), (3, 5, 5, 1)]
+    assert serialized == [4, 5]
+    assert [r["cell"] for r in records] == [spec.cell_id for spec in cells]
+    monkeypatch.undo()
+    instances = tmp_path / "instances"
+    # one file per instance and no temp file left behind
+    assert sorted(p.name for p in instances.iterdir()) == [
+        f"{a('exact').instance_id}.rbf",
+        f"{b('exact').instance_id}.rbf",
+    ]
+    for spec in cells[:2]:
+        expected = sweep.serialize_instance(sweep.build_instance(spec))
+        assert (instances / f"{spec.instance_id}.rbf").read_text(encoding="utf-8") == expected
