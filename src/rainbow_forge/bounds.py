@@ -96,17 +96,23 @@ class BoundValue:
         return f"{self.formula_id} = {self.value}{flag}"
 
 
-def _check_r(r: int) -> None:
-    """Every bound formula needs r >= 1; r = 1 and r = 2 evaluate and
-    are flagged through ``domain_ok``."""
+def _check_args(r: int, n: int) -> None:
+    """Every bound formula needs r >= 1 and counts n >= 1 matchings;
+    r = 1 and r = 2 evaluate and are flagged through ``domain_ok``."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-
-
-def _check_n(n: int) -> None:
-    """Every bound formula counts n >= 1 matchings."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _domain(r: int, n: int | None = None) -> tuple[bool, str]:
+    """``(domain_ok, domain_reason)`` of the r >= 3 precondition and,
+    when n is given, of n > 6**r."""
+    if r < 3:
+        return False, f"requires r >= 3, got {r}"
+    if n is not None and n <= 6 ** r:
+        return False, f"requires n > 6**r = {6 ** r}, got {n}"
+    return True, ""
 
 
 def _rooted_bound(
@@ -134,33 +140,17 @@ def _rooted_bound(
 def lower_bound_g_prime(r: int, n: int) -> BoundValue:
     """Guaranteed rainbow size for n matchings of size n, unrestricted
     host: ``(2n - C(2r, r)) / (r + 1)``.  Meaningful for r >= 3."""
-    _check_r(r)
-    _check_n(n)
+    _check_args(r, n)
     value = Fraction(2 * n - comb(2 * r, r), r + 1)
-    ok = r >= 3
-    return BoundValue(
-        "lower_bound_g_prime",
-        value,
-        True,
-        _format_sig(value),
-        ok,
-        "" if ok else f"requires r >= 3, got {r}",
-    )
+    return BoundValue("lower_bound_g_prime", value, True, _format_sig(value), *_domain(r))
 
 
 def upper_bound_g(r: int, n: int) -> BoundValue:
     """Upper bound on the r-partite guarantee:
     ``n - n**((r-1)/r) / (12 r)``, valid for r >= 3 and n > 6**r."""
-    _check_r(r)
-    _check_n(n)
-    if r < 3:
-        ok, reason = False, f"requires r >= 3, got {r}"
-    elif n <= 6 ** r:
-        ok, reason = False, f"requires n > 6**r = {6 ** r}, got {n}"
-    else:
-        ok, reason = True, ""
+    _check_args(r, n)
     return _rooted_bound(
-        "upper_bound_g", Fraction(n), Fraction(-1, 12 * r), n, r - 1, r, ok, reason
+        "upper_bound_g", Fraction(n), Fraction(-1, 12 * r), n, r - 1, r, *_domain(r, n)
     )
 
 
@@ -173,23 +163,13 @@ def bounds_h(r: int, n: int) -> tuple[BoundValue, BoundValue]:
     sufficiently large n with no explicit threshold, which the domain
     reason records as unquantified.
     """
-    _check_r(r)
-    _check_n(n)
-    if r < 3:
-        lo_ok, lo_reason = False, f"requires r >= 3, got {r}"
-    elif n <= 6 ** r:
-        lo_ok, lo_reason = False, f"requires n > 6**r = {6 ** r}, got {n}"
-    else:
-        lo_ok, lo_reason = True, ""
+    _check_args(r, n)
     lower = _rooted_bound(
-        "bounds_h_lower", Fraction(n), Fraction(1, 12 * r), n, r - 1, r, lo_ok, lo_reason
+        "bounds_h_lower", Fraction(n), Fraction(1, 12 * r), n, r - 1, r, *_domain(r, n)
     )
-    up_ok = r >= 3
-    up_reason = (
-        "asymptotic: valid for sufficiently large n (threshold unquantified)"
-        if up_ok
-        else f"requires r >= 3, got {r}"
-    )
+    up_ok, up_reason = _domain(r)
+    if up_ok:
+        up_reason = "asymptotic: valid for sufficiently large n (threshold unquantified)"
     upper = _rooted_bound(
         "bounds_h_upper",
         Fraction((r + 1) * n, 2),
@@ -206,36 +186,18 @@ def bounds_h(r: int, n: int) -> tuple[BoundValue, BoundValue]:
 def weak_asymptotic_bound(r: int, n: int) -> BoundValue:
     """Rainbow size guaranteed by n matchings of size ceil((r+1)n/2):
     ``n - 2**r * sqrt(n)``.  Exact when n is a perfect square."""
-    _check_r(r)
-    _check_n(n)
-    ok = r >= 3
+    _check_args(r, n)
     return _rooted_bound(
-        "weak_asymptotic_bound",
-        Fraction(n),
-        Fraction(-(2 ** r)),
-        n,
-        1,
-        2,
-        ok,
-        "" if ok else f"requires r >= 3, got {r}",
+        "weak_asymptotic_bound", Fraction(n), Fraction(-(2 ** r)), n, 1, 2, *_domain(r)
     )
 
 
 def ach_bound(r: int, n: int) -> BoundValue:
     """Upper bound certified by the paired-gadget construction:
     ``n - 2**(r-2)`` for even n, one more for odd n."""
-    _check_r(r)
-    _check_n(n)
+    _check_args(r, n)
     value = Fraction(n - 2 ** (r - 2) + (1 if n % 2 else 0))
-    ok = r >= 3
-    return BoundValue(
-        "ach_bound",
-        value,
-        True,
-        _format_sig(value),
-        ok,
-        "" if ok else f"requires r >= 3, got {r}",
-    )
+    return BoundValue("ach_bound", value, True, _format_sig(value), *_domain(r))
 
 
 class GiBounds(NamedTuple):

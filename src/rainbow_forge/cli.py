@@ -4,7 +4,12 @@ Subcommands: ``gen`` (write an instance file for any generator),
 ``solve`` (run a solver, write a report), ``bounds`` (tabulate the
 bound formulas over parameter ranges), ``verify`` (re-check a stored
 report against its instance) and ``sweep`` (generator x solver grids
-with persisted records).
+with persisted records).  The work is done by the library: this module
+parses arguments, reads and writes files and maps outcomes to exit
+codes.  ``verify`` prints the checks of :func:`sweep.verify_report`,
+passed ones first; ``sweep`` hands the whole grid to
+:func:`sweep.run_sweep`, which skips the cells outside their
+generator's domain.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 solver
 budget exhaustion, 4 verification failure.
@@ -16,35 +21,27 @@ import argparse
 import csv
 import io
 import sys
-from math import comb
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from .constructions import blowup_compose, certify_blocking_family, dummy_lift
-# validate_instance is not called here (parse_instance validates), but
-# bench/selftest.py checks that the tracer finds it bound in this module
-from .core import Instance, is_rainbow_matching, validate_instance  # noqa: F401
+from .core import Instance
 from .fileformat import (
+    CERT_FAILURE,
     InstanceValidationError,
     ParseError,
-    ReportDoc,
     parse_instance,
     parse_report,
     serialize_instance,
     serialize_report,
 )
-from .setpairs import bollobas_sum, extract_setpairs, is_cross_intersecting
-from .solvers import (
-    CERT_EXACT,
-    CERT_HEURISTIC,
-    CERT_LOCAL,
-    DEFAULT_SAMPLE_RETRIES,
-    exact_max_rainbow,
-    find_extension,
-    find_swap,
-    good_edges,
-)
-from .sweep import GENERATORS, SOLVERS, CellSpec, cell_is_valid, run_solver, run_sweep
+from .solvers import CERT_HEURISTIC, DEFAULT_SAMPLE_RETRIES
+from .sweep import GENERATORS, SOLVERS, CellSpec, run_solver, run_sweep, verify_report
+
+# Not called here: bench/selftest.py requires the benchmark's tracer to
+# find these names bound in this module.
+from .core import validate_instance  # noqa: F401
+from .solvers import exact_max_rainbow, find_swap  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,7 +219,7 @@ def _cmd_solve(args) -> int:
     if args.solver == "exact" and doc.certificate == CERT_HEURISTIC:
         print("node budget exhausted; result is heuristic", file=sys.stderr)
         return EXIT_BUDGET
-    if doc.certificate == "failure":
+    if doc.certificate == CERT_FAILURE:
         print(f"sample-and-extend failed at stage {doc.failure['stage']}", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
@@ -279,68 +276,13 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = _load_instance(args.input)
-    doc = parse_report(_read_input(args.report))
-    failures: list[str] = []
-    checks: list[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            checks.append(f"ok: {name}")
-        else:
-            failures.append(f"FAIL: {name}" + (f" ({detail})" if detail else ""))
-
-    # parse_instance has validated the file: an invalid one exits 2
-    check("instance valid", True)
-
-    rm = doc.assignment
-    try:
-        valid = is_rainbow_matching(inst, rm)
-    except ValueError as exc:
-        valid = False
-        check("assignment is a rainbow matching", False, str(exc))
-    else:
-        check("assignment is a rainbow matching", valid)
-    check("recorded size matches assignment", doc.size == rm.size,
-          f"recorded {doc.size}, assignment has {rm.size}")
-
-    if valid and doc.certificate == CERT_EXACT:
-        re_solved = exact_max_rainbow(inst, node_budget=args.node_budget)
-        if re_solved.certificate != CERT_EXACT:
-            check("exact certificate reproducible", False, "re-solve budget exhausted")
-        else:
-            check("exact certificate reproducible", re_solved.size == doc.size,
-                  f"re-solved maximum {re_solved.size} != recorded {doc.size}")
-    if valid and doc.certificate == CERT_LOCAL:
-        ext = find_extension(inst, rm)
-        check("no extension move", ext is None, f"colour {ext[0]} edge {ext[1]}" if ext else "")
-        swp = None
-        if ext is None:
-            swp = find_swap(inst, rm)
-            check("no swap move", swp is None, str(swp) if swp else "")
-        if ext is None and swp is None:
-            gib = bounds_mod.check_gibounds(inst.r, inst.n, inst.min_matching_size(), rm.size)
-            check("good-edge counting inequality", gib.holds, f"lhs {gib.lhs} > rhs {gib.rhs}")
-            table = good_edges(inst, rm)
-            cap = comb(2 * inst.r, inst.r)
-            for _, e in rm.assignment:
-                ell = sum(1 for colour in table.good if e in table.good[colour])
-                if ell == 0:
-                    continue
-                check(f"edge {e} good for at most C(2r,r)/2 colours", 2 * ell <= cap,
-                      f"{ell} > {cap // 2}")
-                system = extract_setpairs(inst, rm, e)
-                ok, witness = is_cross_intersecting(system)
-                check(f"edge {e} set-pair system cross-intersecting", ok,
-                      f"violation at pair {witness}" if witness else "")
-                total = bollobas_sum(system)
-                check(f"edge {e} set-pair sum <= 1", total <= 1, f"sum {total}")
-
-    for line in checks:
-        print(line)
-    for line in failures:
-        print(line)
-    return EXIT_VERIFY if failures else EXIT_OK
+    checks = verify_report(
+        _load_instance(args.input), parse_report(_read_input(args.report)), args.node_budget
+    )
+    # passed checks first, each group in the order the checks were made
+    for check in sorted(checks, key=lambda check: not check.ok):
+        print(check)
+    return EXIT_OK if all(check.ok for check in checks) else EXIT_VERIFY
 
 
 def _cmd_sweep(args) -> int:
@@ -350,27 +292,22 @@ def _cmd_sweep(args) -> int:
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
     for s in solvers:
         _require(s in SOLVERS, f"unknown solver {s!r}")
-    cells = []
-    for construction in constructions:
-        for r in _parse_span(args.r):
-            for n in _parse_span(args.n):
-                # one validity check per instance: the row's cells share it
-                row = [
-                    CellSpec(
-                        construction=construction,
-                        r=r,
-                        n=n,
-                        solver=solver,
-                        seed=args.seed,
-                        size=args.size,
-                        node_budget=args.node_budget,
-                        retries=args.retries,
-                    )
-                    for solver in solvers
-                ]
-                if row and cell_is_valid(row[0]):
-                    cells.extend(row)
-    _require(bool(cells), "no valid grid cells for the given ranges")
+    cells = [
+        CellSpec(
+            construction=construction,
+            r=r,
+            n=n,
+            solver=solver,
+            seed=args.seed,
+            size=args.size,
+            node_budget=args.node_budget,
+            retries=args.retries,
+        )
+        for construction in constructions
+        for r in _parse_span(args.r)
+        for n in _parse_span(args.n)
+        for solver in solvers
+    ]
     sweep_dir, records = run_sweep(cells, args.out, jobs=args.jobs)
     print(f"{len(records)} cells -> {sweep_dir}")
     return EXIT_OK

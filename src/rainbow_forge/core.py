@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import index, lt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
 Edge = tuple[int, ...]
@@ -101,12 +101,6 @@ class Instance:
 
     def min_matching_size(self) -> int:
         return min((len(m) for m in self.matchings), default=0)
-
-    def edges(self) -> Iterator[tuple[int, Edge]]:
-        """Yield (colour, edge) over the whole family."""
-        for i, m in enumerate(self.matchings):
-            for e in m:
-                yield i, e
 
 
 @dataclass(frozen=True)

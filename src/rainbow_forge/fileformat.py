@@ -15,7 +15,9 @@ serializer rejects any other, and an edge of other than r vertices,
 which could not be read back.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
-statistic is the only field excluded from determinism guarantees.
+statistic is the only field excluded from determinism guarantees.  A
+report's certificate is one of :data:`CERTIFICATES`, and a ``failure``
+certificate comes with a ``failure`` object, which no other has.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import Instance, RainbowMatching, Violation, validate_instance
+from .solvers import CERT_EXACT, CERT_HEURISTIC, CERT_LOCAL
 
 FORMAT_VERSION = "rainbow-forge/1"
 REPORT_FORMAT = "rainbow-forge-report/1"
+CERT_FAILURE = "failure"  # a sample-and-extend run that found no full matching
+CERTIFICATES = (CERT_EXACT, CERT_LOCAL, CERT_HEURISTIC, CERT_FAILURE)
 
 
 class ParseError(ValueError):
@@ -241,12 +246,16 @@ def parse_report(text: str) -> ReportDoc:
         payload["assignment"],
         lambda pairs: RainbowMatching(tuple((_int(c), tuple(_int(v) for v in e)) for c, e in pairs)),
     )
+    failure = payload.get("failure")
+    certificate = payload["certificate"]
+    if certificate not in CERTIFICATES or (certificate == CERT_FAILURE) != (failure is not None):
+        raise ValueError(f"{REPORT_FORMAT} document has a malformed 'certificate' field")
     return ReportDoc(
         solver=payload["solver"],
-        certificate=payload["certificate"],
+        certificate=certificate,
         size=_field("size", payload["size"], _int),
         assignment=assignment,
         stats=_field("stats", payload.get("stats", {}), dict),
         instance=payload.get("instance"),
-        failure=payload.get("failure"),
+        failure=failure,
     )

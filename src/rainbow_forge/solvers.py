@@ -53,13 +53,11 @@ The greedy, local, good-edge and sampling code read the instance's
 matchings, whose edges the constructor keeps in lexicographic order,
 and test "disjoint from the matching" against a set of used vertices,
 so their memory grows with the edges, not with edges times vertices.
-Only the exact solver works on bitmasks, through one table per
-instance, built on first use and kept on the instance, so it lives
-exactly as long as the instance does.  The table relabels the vertices
-densely in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask
-costs V bits whatever the vertex ids are, and groups colours with
-identical edge sets into the exact solver's classes, each edge with its
-bitmask.
+Only the exact solver works on bitmasks, through a table it builds
+for the instance it solves.  The table relabels the vertices densely
+in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
+bits whatever the vertex ids are, and groups colours with identical
+edge sets into the exact solver's classes, each edge with its bitmask.
 """
 
 from __future__ import annotations
@@ -202,16 +200,6 @@ class _Table:
             _ColourClass(tuple(members), es, tuple(map(mask, es)))
             for es, members in groups.items()
         ]
-
-
-def _table(inst: Instance) -> _Table:
-    """The instance's table, built on first use and kept in the
-    instance's ``__dict__`` (as ``functools.cached_property`` does), so
-    it lives and dies with the instance."""
-    table = inst.__dict__.get("_solver_table")
-    if table is None:
-        table = inst.__dict__["_solver_table"] = _Table(inst)
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +607,7 @@ def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveRe
     """
     t0 = time.perf_counter()
     incumbent = local_search_rainbow(inst).matching
-    table = _table(inst)
+    table = _Table(inst)
     extra: dict[str, Any] = {"incumbent_size": incumbent.size}
     solved = _by_components(table, inst.r, node_budget, incumbent)
     if solved is None:

@@ -8,14 +8,16 @@ A sweep writes into an append-only results directory:
 * ``sweeps/<stamp>/summary.csv``    flat summary, one row per record
 
 Records carry everything needed to recompute their pass/fail fields,
-and each cell is independently re-checkable with ``verify`` from the
-persisted instance and report alone.  Identical invocations with the
-same seed produce byte-identical records except for wall-time fields.
+and each cell is independently re-checkable from the persisted instance
+and report alone: :func:`verify_report` makes the checks that
+``rainbow-forge verify`` prints.  Identical invocations with the same
+seed produce byte-identical records except for wall-time fields.
 The cells that share an instance run as one task, which builds the
 instance and writes its file once and then runs each solver cell on it.
-Instance tasks may run concurrently (each writes only its own files);
-the record list and summary are reduced by a single writer at the end,
-in grid order.
+A cell outside its generator's domain (see :func:`build_instance`) is
+skipped in that build, with no record and no file.  Instance tasks may
+run concurrently (each writes only its own files); the record list and
+summary are reduced by a single writer at the end, in grid order.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
 from typing import Any, Callable
 
 from . import bounds as bounds_mod
 from .constructions import ach_instance, cycle_instance, k4_union_instance, random_instance
-from .core import Instance
-from .fileformat import ReportDoc, serialize_instance, serialize_report
+from .core import Instance, is_rainbow_matching
+from .fileformat import CERT_FAILURE, ReportDoc, serialize_instance, serialize_report
+from .setpairs import bollobas_sum, extract_setpairs, is_cross_intersecting
 from .solvers import (
     CERT_EXACT,
     CERT_LOCAL,
@@ -40,6 +44,9 @@ from .solvers import (
     SampleExtendFailure,
     SolveReport,
     exact_max_rainbow,
+    find_extension,
+    find_swap,
+    good_edges,
     greedy_rainbow,
     local_search_rainbow,
     sample_and_extend,
@@ -96,20 +103,17 @@ SOLVERS: dict[str, Callable[..., SolveReport | SampleExtendFailure]] = {
 }
 
 
-def build_instance(spec: CellSpec) -> Instance:
+def build_instance(spec: CellSpec) -> Instance | None:
+    """The cell's instance, or None when the cell is outside its
+    generator's domain: the generator raises ValueError, builds another
+    uniformity than the cell's r (cycle and k4 are 2-uniform), or builds
+    no matchings."""
     fields, generate = GENERATORS[spec.construction]
-    return generate(*(getattr(spec, f) for f in fields))
-
-
-def cell_is_valid(spec: CellSpec) -> bool:
-    """Grid cells outside a generator's domain are skipped: the generator
-    raises ValueError, builds another uniformity than the cell's r
-    (cycle and k4 are 2-uniform), or builds no matchings."""
     try:
-        inst = build_instance(spec)
+        inst = generate(*(getattr(spec, f) for f in fields))
     except ValueError:
-        return False
-    return inst.r == spec.r and inst.n > 0
+        return None
+    return inst if inst.r == spec.r and inst.n > 0 else None
 
 
 def run_solver(
@@ -125,7 +129,7 @@ def run_solver(
     if isinstance(result, SampleExtendFailure):
         return ReportDoc(
             solver=solver,
-            certificate="failure",
+            certificate=CERT_FAILURE,
             size=result.best.size,
             assignment=result.best,
             stats={"seed": result.seed, "attempts": result.attempts},
@@ -200,15 +204,98 @@ def bound_checks(spec: CellSpec, inst: Instance, doc: ReportDoc) -> dict[str, An
     return out
 
 
+@dataclass(frozen=True)
+class Check:
+    """One verification check; printed as ``ok: <name>`` or
+    ``FAIL: <name> (<detail>)``."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+    def __str__(self) -> str:
+        if self.ok:
+            return f"ok: {self.name}"
+        return f"FAIL: {self.name}" + (f" ({self.detail})" if self.detail else "")
+
+
+def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None) -> list[Check]:
+    """Re-check a report against its instance, from the two alone; the
+    checks in the order they are made.
+
+    The assignment must be a rainbow matching of the recorded size.  An
+    ``exact-optimum`` is re-solved (within ``node_budget`` nodes).  A
+    ``local-optimum`` must admit neither an extension nor a swap, meet
+    the good-edge counting inequality, and each of its good edges must
+    give a cross-intersecting set-pair system with sum at most 1.
+    ``inst`` must already be validated, as ``parse_instance`` does; the
+    first check records that.
+    """
+    checks: list[Check] = []
+
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        checks.append(Check(name, ok, detail))
+
+    check("instance valid", True)
+    rm = doc.assignment
+    try:
+        valid = is_rainbow_matching(inst, rm)
+    except ValueError as exc:
+        valid = False
+        check("assignment is a rainbow matching", False, str(exc))
+    else:
+        check("assignment is a rainbow matching", valid)
+    check("recorded size matches assignment", doc.size == rm.size,
+          f"recorded {doc.size}, assignment has {rm.size}")
+
+    if valid and doc.certificate == CERT_EXACT:
+        re_solved = exact_max_rainbow(inst, node_budget=node_budget)
+        if re_solved.certificate != CERT_EXACT:
+            check("exact certificate reproducible", False, "re-solve budget exhausted")
+        else:
+            check("exact certificate reproducible", re_solved.size == doc.size,
+                  f"re-solved maximum {re_solved.size} != recorded {doc.size}")
+    if valid and doc.certificate == CERT_LOCAL:
+        ext = find_extension(inst, rm)
+        check("no extension move", ext is None, f"colour {ext[0]} edge {ext[1]}" if ext else "")
+        swp = None
+        if ext is None:
+            swp = find_swap(inst, rm)
+            check("no swap move", swp is None, str(swp) if swp else "")
+        if ext is None and swp is None:
+            gib = bounds_mod.check_gibounds(inst.r, inst.n, inst.min_matching_size(), rm.size)
+            check("good-edge counting inequality", gib.holds, f"lhs {gib.lhs} > rhs {gib.rhs}")
+            table = good_edges(inst, rm)
+            cap = comb(2 * inst.r, inst.r)
+            for _, e in rm.assignment:
+                ell = sum(1 for colour in table.good if e in table.good[colour])
+                if ell == 0:
+                    continue
+                check(f"edge {e} good for at most C(2r,r)/2 colours", 2 * ell <= cap,
+                      f"{ell} > {cap // 2}")
+                system = extract_setpairs(inst, rm, e)
+                ok, witness = is_cross_intersecting(system)
+                check(f"edge {e} set-pair system cross-intersecting", ok,
+                      f"violation at pair {witness}" if witness else "")
+                total = bollobas_sum(system)
+                check(f"edge {e} set-pair sum <= 1", total <= 1, f"sum {total}")
+    return checks
+
+
 def _run_instance(args: tuple[list[CellSpec], str]) -> list[dict[str, Any]]:
     """Build, write and solve one instance: every spec shares its
-    ``instance_id``.  Returns one record per spec, in spec order; the
-    first record's ``wall_time`` includes the build and the write."""
+    ``instance_id``.  Returns one record per spec, in spec order, or none
+    when the instance is outside its generator's domain; the first
+    record's ``wall_time`` includes the build and the write."""
     specs, out_dir = args
     root = Path(out_dir)
     t0 = time.perf_counter()
     instance_id = specs[0].instance_id
     inst = build_instance(specs[0])
+    if inst is None:
+        return []
+    (root / "instances").mkdir(parents=True, exist_ok=True)
+    (root / "reports").mkdir(exist_ok=True)
     inst_rel = f"instances/{instance_id}.rbf"
     # publish through a temp file so the path is only ever seen whole
     tmp = root / f"instances/.{instance_id}.tmp"
@@ -300,18 +387,12 @@ def run_sweep(
     cells: list[CellSpec], out_dir: str | Path, jobs: int = 1, stamp: str | None = None
 ) -> tuple[Path, list[dict[str, Any]]]:
     """Execute every cell, persist artifacts, return the sweep directory
-    and the records in grid order."""
+    and the records in grid order.  Cells outside their generator's
+    domain are skipped; when no cell is left, raise ValueError and create
+    no directory."""
     root = Path(out_dir)
-    (root / "instances").mkdir(parents=True, exist_ok=True)
-    (root / "reports").mkdir(parents=True, exist_ok=True)
     if stamp is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    sweep_dir = root / "sweeps" / stamp
-    suffix = 0
-    while sweep_dir.exists():
-        suffix += 1
-        sweep_dir = root / "sweeps" / f"{stamp}-{suffix}"
-    sweep_dir.mkdir(parents=True)
 
     # one task per instance, in order of first appearance; a task holds
     # its instance only while it runs
@@ -324,11 +405,19 @@ def run_sweep(
             results = list(pool.map(_run_instance, tasks))
     else:
         results = [_run_instance(t) for t in tasks]
-    records: list[dict[str, Any]] = [{}] * len(cells)
+    by_cell: dict[int, dict[str, Any]] = {}
     for group, group_records in zip(groups.values(), results):
-        for i, record in zip(group, group_records):
-            records[i] = record
+        by_cell.update(zip(group, group_records))
+    if not by_cell:
+        raise ValueError("no valid grid cells: every cell is outside its generator's domain")
+    records = [by_cell[i] for i in sorted(by_cell)]
 
+    sweep_dir = root / "sweeps" / stamp
+    suffix = 0
+    while sweep_dir.exists():
+        suffix += 1
+        sweep_dir = root / "sweeps" / f"{stamp}-{suffix}"
+    sweep_dir.mkdir(parents=True)
     with open(sweep_dir / "records.jsonl", "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

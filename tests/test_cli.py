@@ -212,6 +212,9 @@ def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
         ("size", True),
         ("assignment", [[0, [1.7, 2, 3]]]),
         ("assignment", [[True, [0, 1, 2]]]),
+        ("certificate", "proven-maximum"),
+        ("certificate", 5),
+        ("certificate", "failure"),  # with no failure object
     ],
 )
 def test_verify_rejects_report_with_a_malformed_field(tmp_path, capsys, key, value):
@@ -285,6 +288,73 @@ def test_verify_local_certificate(tmp_path, capsys):
     assert "ok: no extension move" in out
     assert "ok: good-edge counting inequality" in out
     assert "set-pair system cross-intersecting" in out
+
+
+def _verify_lines(inst_path, report_path, capsys):
+    """Exit code and printed lines of ``verify``, and the checks
+    ``verify_report`` returns on the same files."""
+    capsys.readouterr()
+    code = main(["verify", "--in", str(inst_path), "--report", str(report_path)])
+    lines = capsys.readouterr().out.splitlines()
+    checks = rf.sweep.verify_report(
+        rf.parse_instance(inst_path.read_text()), rf.parse_report(report_path.read_text())
+    )
+    return code, lines, checks
+
+
+@pytest.mark.parametrize("solver", ["exact", "local"])
+def test_verify_prints_the_checks_of_verify_report(tmp_path, capsys, solver):
+    inst_path = tmp_path / "a.rbf"
+    report_path = tmp_path / "a.json"
+    main(["gen", "--construction", "ach", "--r", "3", "--n", "6", "--out", str(inst_path)])
+    main(["solve", "--in", str(inst_path), "--solver", solver, "--out", str(report_path)])
+    code, lines, checks = _verify_lines(inst_path, report_path, capsys)
+    assert code == 0
+    assert lines == [f"ok: {check.name}" for check in checks]
+    names = [check.name for check in checks]
+    if solver == "exact":
+        assert names[3:] == ["exact certificate reproducible"]
+    else:
+        assert names[3:6] == ["no extension move", "no swap move", "good-edge counting inequality"]
+        assert len(names) > 6  # the checks on its good edges
+
+
+# colours 1 and 2 each meet the edge of colour 0 in one vertex and are
+# disjoint from each other: {0: (0,1,2)} admits a swap, {1: (0,5,6)} an
+# extension by (1,7,8)
+MOVES = rf.Instance(r=3, matchings=(((0, 1, 2),), ((0, 5, 6),), ((1, 7, 8),)))
+
+
+@pytest.mark.parametrize(
+    "assignment, failed",
+    [(((1, (0, 5, 6)),), "no extension move"), (((0, (0, 1, 2)),), "no swap move")],
+)
+def test_verify_fails_a_local_optimum_that_admits_a_move(tmp_path, capsys, assignment, failed):
+    inst_path = tmp_path / "moves.rbf"
+    report_path = tmp_path / "moves.json"
+    inst_path.write_text(rf.serialize_instance(MOVES))
+    rm = rf.RainbowMatching(assignment)
+    report_path.write_text(rf.serialize_report(rf.ReportDoc("local", rf.CERT_LOCAL, rm.size, rm)))
+    code, lines, checks = _verify_lines(inst_path, report_path, capsys)
+    assert code == 4
+    assert [check.name for check in checks if not check.ok] == [failed]
+    assert checks[-1].name == failed
+    assert lines[-1].startswith(f"FAIL: {failed} (")
+
+
+def test_sweep_builds_each_instance_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = rf.sweep.random_instance
+    monkeypatch.setattr(
+        rf.sweep, "random_instance", lambda *args: built.append(args) or real(*args)
+    )
+    # r = 1 is outside the domain: its build raises, and no record is written
+    assert main([
+        "sweep", "--construction", "random", "--r", "1..3", "--n", "3,4",
+        "--solver", "exact,local", "--seed", "5", "--out", str(tmp_path),
+    ]) == 0
+    assert "8 cells" in capsys.readouterr().out
+    assert built == [(r, n, n, 5) for r in (1, 2, 3) for n in (3, 4)]
 
 
 def test_sweep_layout_and_determinism(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_exact_by_components_matches_the_oracles(inst):
     # an incumbent below the optimum makes the combination rebuild its
     # own witness; the local optimum less one edge also lets the bound
     # prune DP states
-    table = solvers._table(inst)
+    table = solvers._Table(inst)
     local = rf.local_search_rainbow(inst).matching
     for incumbent in (rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1])):
         forced = solvers._by_components(table, inst.r, None, incumbent)

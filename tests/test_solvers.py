@@ -153,7 +153,7 @@ def families(draw) -> rf.Instance:
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_branch_and_bound_walks_the_reference_search_tree(inst):
-    classes = solvers._table(inst).classes
+    classes = solvers._Table(inst).classes
     for incumbent in (rf.local_search_rainbow(inst).matching, rf.RainbowMatching()):
         for budget in (None, 1, 7, 50):
             # same witness, node count and budget cut-off

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 import rainbow_forge as rf
 from rainbow_forge import sweep
-from rainbow_forge.sweep import CellSpec, cell_is_valid
+from rainbow_forge.sweep import CellSpec, build_instance
 
 
 @pytest.mark.parametrize(
@@ -28,7 +30,8 @@ from rainbow_forge.sweep import CellSpec, cell_is_valid
     ],
 )
 def test_cell_selection_boundaries(construction, r, n, valid):
-    assert cell_is_valid(CellSpec(construction, r, n, "exact", 0)) is valid
+    # the domain rule: build_instance gives None for a cell outside it
+    assert (build_instance(CellSpec(construction, r, n, "exact", 0)) is not None) is valid
 
 
 def test_cell_selection_count_on_full_grid():
@@ -38,7 +41,7 @@ def test_cell_selection_count_on_full_grid():
         for construction in ("cycle", "k4", "ach", "random")
         for r in range(7)
         for n in range(40)
-        if cell_is_valid(spec := CellSpec(construction, r, n, "exact", 0, size=size))
+        if build_instance(spec := CellSpec(construction, r, n, "exact", 0, size=size)) is not None
     ]
     assert len(kept) == 906
 
@@ -94,3 +97,24 @@ def test_run_sweep_builds_and_writes_each_instance_once(tmp_path, monkeypatch):
     for spec in cells[:2]:
         expected = sweep.serialize_instance(sweep.build_instance(spec))
         assert (instances / f"{spec.instance_id}.rbf").read_text(encoding="utf-8") == expected
+
+
+def test_run_sweep_skips_cells_outside_the_domain(tmp_path):
+    # cycle is 2-uniform, so an r = 3 cycle cell is outside the domain
+    outside = CellSpec("cycle", 3, 4, "local", 0)
+    inside = CellSpec("cycle", 2, 4, "local", 0)
+    sweep_dir, records = sweep.run_sweep([outside, inside, outside], tmp_path, stamp="s")
+
+    assert [r["cell"] for r in records] == [inside.cell_id]
+    assert (sweep_dir / "records.jsonl").read_text().splitlines() == [
+        json.dumps(records[0], sort_keys=True)
+    ]
+    assert sorted(p.name for p in (tmp_path / "instances").iterdir()) == [
+        f"{inside.instance_id}.rbf"
+    ]
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == [f"{inside.cell_id}.json"]
+
+    # no cell left: nothing is created
+    with pytest.raises(ValueError, match="no valid grid cells"):
+        sweep.run_sweep([outside], tmp_path / "empty", stamp="s")
+    assert not (tmp_path / "empty").exists()
