@@ -6,10 +6,12 @@ bound formulas over parameter ranges), ``verify`` (re-check a stored
 report against its instance) and ``sweep`` (generator x solver grids
 with persisted records).  The work is done by the library: this module
 parses arguments, reads and writes files and maps outcomes to exit
-codes.  ``verify`` prints the checks of :func:`sweep.verify_report`,
-passed ones first; ``sweep`` hands the whole grid to
-:func:`sweep.run_sweep`, which skips the cells outside their
-generator's domain.
+codes.  ``bounds`` names each column by the ``formula_id`` of its
+:class:`bounds.BoundValue`.  ``verify`` prints ``ok: instance valid``
+once the instance has parsed, then the checks of
+:func:`sweep.verify_report`, passed ones first; ``sweep`` hands the
+whole grid to :func:`sweep.run_sweep`, which skips the cells outside
+their generator's domain.
 
 Exit codes: 0 success, 1 usage error, 2 validation failure, 3 solver
 budget exhaustion, 4 verification failure.
@@ -225,30 +227,19 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-_BOUND_COLUMNS = (
-    "lower_bound_g_prime",
-    "upper_bound_g",
-    "bounds_h_lower",
-    "bounds_h_upper",
-    "weak_asymptotic_bound",
-    "ach_bound",
-)
-
-
 def _bound_row(r: int, n: int) -> dict[str, object]:
-    lower_h, upper_h = bounds_mod.bounds_h(r, n)
-    values = {
-        "lower_bound_g_prime": bounds_mod.lower_bound_g_prime(r, n),
-        "upper_bound_g": bounds_mod.upper_bound_g(r, n),
-        "bounds_h_lower": lower_h,
-        "bounds_h_upper": upper_h,
-        "weak_asymptotic_bound": bounds_mod.weak_asymptotic_bound(r, n),
-        "ach_bound": bounds_mod.ach_bound(r, n),
-    }
+    """Columns r, n, then per formula its ``formula_id`` (the value,
+    ``[!]`` when out of domain) and ``<formula_id>_domain``."""
     row: dict[str, object] = {"r": r, "n": n}
-    for name, bv in values.items():
-        row[name] = str(bv.value) + ("" if bv.domain_ok else " [!]")
-        row[name + "_domain"] = "ok" if bv.domain_ok else bv.domain_reason
+    for bv in (
+        bounds_mod.lower_bound_g_prime(r, n),
+        bounds_mod.upper_bound_g(r, n),
+        *bounds_mod.bounds_h(r, n),
+        bounds_mod.weak_asymptotic_bound(r, n),
+        bounds_mod.ach_bound(r, n),
+    ):
+        row[bv.formula_id] = str(bv.value) + ("" if bv.domain_ok else " [!]")
+        row[bv.formula_id + "_domain"] = "ok" if bv.domain_ok else bv.domain_reason
     return row
 
 
@@ -256,15 +247,12 @@ def _cmd_bounds(args) -> int:
     rows = [_bound_row(r, n) for r in _parse_span(args.r) for n in _parse_span(args.n)]
     if args.format == "csv":
         buf = io.StringIO()
-        columns = ["r", "n"]
-        for name in _BOUND_COLUMNS:
-            columns += [name, name + "_domain"]
-        writer = csv.DictWriter(buf, fieldnames=columns)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         _write_out(args.out, buf.getvalue())
     else:
-        columns = ["r", "n", *_BOUND_COLUMNS]
+        columns = [c for c in rows[0] if not c.endswith("_domain")]
         table = [[str(row[c]) for c in columns] for row in rows]
         widths = [max(len(c), *(len(line[i]) for line in table)) for i, c in enumerate(columns)]
         lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
@@ -279,6 +267,7 @@ def _cmd_verify(args) -> int:
     checks = verify_report(
         _load_instance(args.input), parse_report(_read_input(args.report)), args.node_budget
     )
+    print("ok: instance valid")  # parse_instance has validated it
     # passed checks first, each group in the order the checks were made
     for check in sorted(checks, key=lambda check: not check.ok):
         print(check)

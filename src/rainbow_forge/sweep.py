@@ -5,12 +5,14 @@ A sweep writes into an append-only results directory:
 * ``instances/<id>.rbf``      every generated instance, one file each
 * ``reports/<id>-<solver>.json``  the solver report for each grid cell
 * ``sweeps/<stamp>/records.jsonl``  one JSON record per cell
-* ``sweeps/<stamp>/summary.csv``    flat summary, one row per record
+* ``sweeps/<stamp>/summary.csv``    flat summary, one row per record;
+  each column names a path of keys into the record (``_CSV_COLUMNS``)
 
 Records carry everything needed to recompute their pass/fail fields,
 and each cell is independently re-checkable from the persisted instance
-and report alone: :func:`verify_report` makes the checks that
-``rainbow-forge verify`` prints.  Identical invocations with the same
+and report alone: :func:`verify_report` makes the checks on a parsed
+instance that ``rainbow-forge verify`` prints after its own
+``instance valid``.  Identical invocations with the same
 seed produce byte-identical records except for wall-time fields.
 The cells that share an instance run as one task, which builds the
 instance and writes its file once and then runs each solver cell on it.
@@ -28,7 +30,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import getitem
 from pathlib import Path
 from typing import Any, Callable
 
@@ -228,15 +232,14 @@ def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None
     ``local-optimum`` must admit neither an extension nor a swap, meet
     the good-edge counting inequality, and each of its good edges must
     give a cross-intersecting set-pair system with sum at most 1.
-    ``inst`` must already be validated, as ``parse_instance`` does; the
-    first check records that.
+    ``inst`` must already be valid, as ``parse_instance`` ensures; no
+    check here validates it.
     """
     checks: list[Check] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append(Check(name, ok, detail))
 
-    check("instance valid", True)
     rm = doc.assignment
     try:
         valid = is_rainbow_matching(inst, rm)
@@ -339,48 +342,26 @@ def _run_instance(args: tuple[list[CellSpec], str]) -> list[dict[str, Any]]:
     return records
 
 
-_CSV_COLUMNS = [
-    "cell",
-    "construction",
-    "r",
-    "n",
-    "solver",
-    "seed",
-    "size",
-    "certificate",
-    "min_matching_size",
-    "lb_gprime_value",
-    "lb_gprime_holds",
-    "gibounds_holds",
-    "ach_bound_value",
-    "ach_bound_holds",
-    "wall_time",
-]
+# summary.csv column -> the path of keys to its value in the record
+_CSV_COLUMNS: dict[str, tuple[str, ...]] = {
+    **{key: (key,) for key in (
+        "cell", "construction", "r", "n", "solver", "seed", "size", "certificate",
+        "min_matching_size",
+    )},
+    "lb_gprime_value": ("bounds", "lower_bound_g_prime", "value"),
+    "lb_gprime_holds": ("bounds", "lower_bound_g_prime", "holds"),
+    "gibounds_holds": ("bounds", "gibounds", "holds"),
+    "ach_bound_value": ("bounds", "ach_bound", "value"),
+    "ach_bound_holds": ("bounds", "ach_bound", "holds"),
+    "wall_time": ("wall_time",),
+}
 
 
 def _csv_row(record: dict[str, Any]) -> list[Any]:
-    b = record["bounds"]
-
-    def cell(v: Any) -> Any:
-        return "" if v is None else v
-
-    return [
-        record["cell"],
-        record["construction"],
-        record["r"],
-        record["n"],
-        record["solver"],
-        record["seed"],
-        record["size"],
-        record["certificate"],
-        record["min_matching_size"],
-        cell(b["lower_bound_g_prime"]["value"]),
-        cell(b["lower_bound_g_prime"]["holds"]),
-        cell(b["gibounds"]["holds"]),
-        cell(b["ach_bound"]["value"]),
-        cell(b["ach_bound"]["holds"]),
-        record["wall_time"],
-    ]
+    """The record's summary.csv row; ``None`` (a bound not applicable)
+    is an empty field."""
+    values = (reduce(getitem, path, record) for path in _CSV_COLUMNS.values())
+    return ["" if v is None else v for v in values]
 
 
 def run_sweep(

@@ -310,13 +310,14 @@ def test_verify_prints_the_checks_of_verify_report(tmp_path, capsys, solver):
     main(["solve", "--in", str(inst_path), "--solver", solver, "--out", str(report_path)])
     code, lines, checks = _verify_lines(inst_path, report_path, capsys)
     assert code == 0
-    assert lines == [f"ok: {check.name}" for check in checks]
+    # the CLI's own line for the parse, then the library's checks
+    assert lines == ["ok: instance valid"] + [f"ok: {check.name}" for check in checks]
     names = [check.name for check in checks]
     if solver == "exact":
-        assert names[3:] == ["exact certificate reproducible"]
+        assert names[2:] == ["exact certificate reproducible"]
     else:
-        assert names[3:6] == ["no extension move", "no swap move", "good-edge counting inequality"]
-        assert len(names) > 6  # the checks on its good edges
+        assert names[2:5] == ["no extension move", "no swap move", "good-edge counting inequality"]
+        assert len(names) > 5  # the checks on its good edges
 
 
 # colours 1 and 2 each meet the edge of colour 0 in one vertex and are

@@ -118,6 +118,8 @@ def test_certify_blocking_family():
     assert bf.blocked_size == 3 and bf.certified_max == 2
     with pytest.raises(ValueError, match="not blocked"):
         rf.certify_blocking_family(inst, 2)
+    with pytest.raises(ValueError, match="every matching must have size >= blocked_size - 1"):
+        rf.certify_blocking_family(inst, 6)  # its matchings have size 4
 
 
 def test_blowup_compose_identity_and_bound():
@@ -149,6 +151,23 @@ def test_find_blocking_family_certified():
     assert all(len(m) == 2 for m in bf.inst.matchings)
     assert bf.certified_max < bf.blocked_size
     assert rf.exact_max_rainbow(bf.inst).size == bf.certified_max
+
+
+@pytest.mark.parametrize("r, n, t", [(2, 4, 3), (3, 5, 3)])
+def test_find_blocking_family_climbs_to_a_certified_family(r, n, t):
+    # no deterministic candidate exists here: the hill climb finds it
+    bf = rf.find_blocking_family(r, n, t, budget=200, seed=0)
+    assert bf is not None
+    assert bf.inst.meta["generator"] == "blocking-search"
+    assert [len(m) for m in bf.inst.matchings] == [t] * n
+    assert rf.validate_instance(bf.inst) == []
+    assert rf.exact_max_rainbow(bf.inst).size == bf.certified_max < t
+
+
+def test_find_blocking_family_climb_can_exhaust_its_budget():
+    # K_{2,2} has two perfect matchings, so two of the three colours are
+    # equal, and they hold a rainbow matching of size 2
+    assert rf.find_blocking_family(2, 3, 2, budget=200, seed=0) is None
 
 
 def test_find_blocking_family_impossible_cases():

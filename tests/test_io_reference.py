@@ -54,8 +54,10 @@ def _unsorted(rnd, r, matchings, part):
 
 def _shared(rnd, r, matchings, part):
     m, k = _pick_edge(rnd, matchings)
-    if m is not None and len(m) > 1 and m[k]:
-        other = rnd.choice([e for i, e in enumerate(m) if i != k and e])
+    # the other non-empty edges of the matching; r = 0 can leave none
+    others = [e for i, e in enumerate(m) if i != k and e] if m is not None and m[k] else []
+    if others:
+        other = rnd.choice(others)
         m[k][rnd.randrange(len(m[k]))] = rnd.choice(other)
         m[k].sort()
 
@@ -188,3 +190,12 @@ def _outcome(parse, text):
 def test_parse_instance_matches_reference(family, rnd):
     text = _text(rnd, *family)
     assert _outcome(rf.parse_instance, text) == _outcome(io_reference.parse_instance, text)
+
+
+def test_shared_skips_a_matching_with_no_other_non_empty_edge():
+    # r = 0 after an _arity corruption: the one non-empty edge [5] has
+    # no other edge to take a vertex from
+    for seed in range(20):
+        matchings = [[[5], []]]
+        _shared(random.Random(seed), 0, matchings, None)
+        assert matchings == [[[5], []]]

@@ -463,6 +463,19 @@ def test_sample_and_extend_failure_names_stage():
     assert rf.is_rainbow_matching(inst, res.best)
 
 
+def test_sample_and_extend_reports_the_tail_bounds_below_p_one():
+    # p = 4 n^(-1/(2r)) drops below 1 once n^(1/4) > 4 at r = 2
+    inst = rf.random_instance(2, 257, 5, 1)
+    res = rf.sample_and_extend(inst, 257, seed=1)
+    d = res.diagnostics if isinstance(res, rf.SampleExtendFailure) else res.stats.extra
+    p = Fraction(d["p_effective"])
+    assert 0 < p < 1
+    s_min = inst.min_matching_size()
+    # eps = 1 / round(n^(1/(2r))) = 1/4 for the avoiding event
+    assert d["tail_inside"] == float(257 * rf.chernoff_tail(s_min, p ** 2, Fraction(1, 2)))
+    assert d["tail_avoiding"] == float(257 * rf.chernoff_tail(s_min, 1 - (1 - p) ** 2, Fraction(1, 4)))
+
+
 def test_sample_and_extend_deterministic_per_seed():
     inst = rf.dummy_lift(rf.random_instance(3, 25, 5, seed=3), 45)
     a = rf.sample_and_extend(inst, 25, seed=7)
