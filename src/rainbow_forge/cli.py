@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 from pathlib import Path
@@ -86,6 +87,8 @@ def _parse_span(spec: str) -> list[int]:
     return values
 
 
+# one parser per process: parse_args changes neither it nor its list defaults
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="rainbow-forge", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

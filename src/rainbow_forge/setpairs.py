@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable
 
 from .core import Edge, Instance, RainbowMatching
-from .solvers import SwapAvailable, find_swap, good_edges
+from .solvers import SwapAvailable, good_edges
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,12 @@ def extract_setpairs(inst: Instance, rm: RainbowMatching, e: Edge) -> SetPairSys
     e = tuple(e)
     if e not in rm.edge_set():
         raise ValueError(f"edge {e} is not in the rainbow matching")
-    table = good_edges(inst, rm)  # checks validity and extension-maximality
-    swap = find_swap(inst, rm)
-    if swap is not None:
-        raise SwapAvailable(*swap)
+    table = good_edges(inst, rm)  # checks validity and extension-maximality, finds a swap
+    if table.swap is not None:
+        raise SwapAvailable(*table.swap)
     witnesses = [
         table.good[colour][e] for colour in sorted(table.good) if e in table.good[colour]
     ]
     if not witnesses:
         raise ValueError(f"edge {e} is good for no unused colour")
-    forward = [(f, fp) for f, fp in witnesses]
-    backward = [(fp, f) for f, fp in witnesses]
-    return SetPairSystem.from_sets(forward + backward)
+    return SetPairSystem.from_sets(witnesses + [(fp, f) for f, fp in witnesses])

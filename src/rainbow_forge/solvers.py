@@ -44,15 +44,19 @@ matching it applies two moves until neither exists:
   ``e`` (one out, two in, net +1).
 
 A matching admitting neither move satisfies the inequality with N the
-minimum matching size, which is what the verifier re-checks.
+minimum matching size, which is what the verifier re-checks.  Both
+moves come from one scan of the unused colours' edges (``_classify``):
+the local search makes one scan per move, ``good_edges`` builds its
+table and its first ``swap`` from one, and ``find_swap`` raises
+ExtensionAvailable on a matching that admits an extension.
 
 Tie-breaking everywhere is lowest colour index first, then lexicographic
 edge order; randomised entry points take an explicit seed.
 
 The greedy, local, good-edge and sampling code read the instance's
 matchings, whose edges the constructor keeps in lexicographic order,
-and test "disjoint from the matching" against a set of used vertices,
-so their memory grows with the edges, not with edges times vertices.
+and test "disjoint from the matching" against the used vertices, so
+their memory grows with the edges, not with edges times vertices.
 Only the exact solver works on bitmasks, through a table it builds
 for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
@@ -76,6 +80,9 @@ CERT_LOCAL = "local-optimum"
 CERT_HEURISTIC = "heuristic"
 
 DEFAULT_SAMPLE_RETRIES = 20
+
+# a swap move: (removed, first added, second added) as (colour, edge)
+_Swap = tuple[tuple[int, Edge], tuple[int, Edge], tuple[int, Edge]]
 
 
 class ExtensionAvailable(ValueError):
@@ -155,7 +162,8 @@ class GoodEdgeTable:
     (edges of matching i meeting M only inside ``e``); ``g[i]`` counts
     the good edges and ``h[i]`` the edges of matching i meeting exactly
     one edge of M.  ``min_matching_size`` is the N of the counting
-    inequality.
+    inequality.  ``swap`` is the first swap move (see :func:`find_swap`),
+    None when M is swap-maximal.
     """
 
     r: int
@@ -165,6 +173,7 @@ class GoodEdgeTable:
     good: dict[int, dict[Edge, tuple[Edge, Edge]]]
     g: dict[int, int]
     h: dict[int, int]
+    swap: _Swap | None
 
 
 class _BudgetExhausted(Exception):
@@ -660,27 +669,14 @@ def greedy_rainbow(
     return SolveReport(RainbowMatching(tuple(pairs)), CERT_HEURISTIC, stats)
 
 
-def find_extension(inst: Instance, rm: RainbowMatching) -> tuple[int, Edge] | None:
-    """First (lowest colour, lexicographic edge) extension move, if any."""
-    used_colours = set(rm.colours())
-    used = {v for _, e in rm.assignment for v in e}
-    for colour, es in enumerate(inst.matchings):
-        if colour in used_colours:
-            continue
-        for e in es:
-            if used.isdisjoint(e):
-                return colour, e
-    return None
+def _classify(inst: Instance, rm: RainbowMatching) -> dict[Edge, dict[int, list[Edge]]]:
+    """One scan of the unused colours' edges, in colour and then edge
+    order, against the matching.
 
-
-def _qualifying_by_edge(
-    inst: Instance, rm: RainbowMatching
-) -> dict[Edge, dict[int, list[Edge]]]:
-    """For each matching edge e and unused colour i, the edges of
-    matching i that meet the matching, and only inside e.
-
-    Assumes extension-maximality (no edge of an unused colour disjoint
-    from the matching); callers check that first.
+    Raises :class:`ExtensionAvailable` at the first edge disjoint from
+    the matching, which is the first extension move.  Otherwise returns,
+    for each matching edge e and unused colour i, the edges of matching
+    i that meet the matching only inside e.
     """
     owner = {v: e for _, e in rm.assignment for v in e}
     used_colours = set(rm.colours())
@@ -696,26 +692,20 @@ def _qualifying_by_edge(
                     continue
                 if home is None:
                     home = e
-                elif e != home:
+                elif e is not home:  # owner holds one tuple per matching edge
                     break
             else:
-                if home is not None:
-                    by_edge[home].setdefault(colour, []).append(f)
+                if home is None:
+                    raise ExtensionAvailable(colour, f)
+                by_edge[home].setdefault(colour, []).append(f)
     return by_edge
 
 
-def find_swap(
-    inst: Instance, rm: RainbowMatching
-) -> tuple[tuple[int, Edge], tuple[int, Edge], tuple[int, Edge]] | None:
-    """First 1-out/2-in swap move, if any.
-
-    Looks for a matching edge e and vertex-disjoint edges f, f' of two
-    distinct unused colours, each meeting the matching only inside e;
-    replacing e by f and f' grows the matching by one.  Requires rm to
-    be extension-maximal.
-    """
+def _first_swap(rm: RainbowMatching, by_edge: dict[Edge, dict[int, list[Edge]]]) -> _Swap | None:
+    """The first swap move in a classification by :func:`_classify`:
+    matching edge (by colour), then colour pair, then f, then f'."""
     colour_of = {e: c for c, e in rm.assignment}
-    for e, per_colour in _qualifying_by_edge(inst, rm).items():
+    for e, per_colour in by_edge.items():
         cols = sorted(per_colour)
         for ai in range(len(cols)):
             for bi in range(ai + 1, len(cols)):
@@ -726,6 +716,27 @@ def find_swap(
                         if fs.isdisjoint(f2):
                             return (colour_of[e], e), (i, f), (j, f2)
     return None
+
+
+def find_extension(inst: Instance, rm: RainbowMatching) -> tuple[int, Edge] | None:
+    """First (lowest colour, lexicographic edge) extension move, if any."""
+    try:
+        _classify(inst, rm)
+    except ExtensionAvailable as ext:
+        return ext.colour, ext.edge
+    return None
+
+
+def find_swap(inst: Instance, rm: RainbowMatching) -> _Swap | None:
+    """First 1-out/2-in swap move, if any.
+
+    Looks for a matching edge e and vertex-disjoint edges f, f' of two
+    distinct unused colours, each meeting the matching only inside e;
+    replacing e by f and f' grows the matching by one.  Requires rm to
+    be extension-maximal: raises :class:`ExtensionAvailable` naming the
+    first extension move when it is not.
+    """
+    return _first_swap(rm, _classify(inst, rm))
 
 
 def local_search_rainbow(inst: Instance, seed: int | None = None) -> SolveReport:
@@ -742,27 +753,21 @@ def local_search_rainbow(inst: Instance, seed: int | None = None) -> SolveReport
     moves = 0
     while True:
         rm = RainbowMatching(tuple(current.items()))
-        ext = find_extension(inst, rm)
-        if ext is not None:
-            current[ext[0]] = ext[1]
+        try:
+            by_edge = _classify(inst, rm)
+        except ExtensionAvailable as ext:
+            current[ext.colour] = ext.edge
             moves += 1
             continue
-        swp = find_swap(inst, rm)
-        if swp is not None:
-            removed, first, second = swp
-            del current[removed[0]]
-            current[first[0]] = first[1]
-            current[second[0]] = second[1]
-            swaps += 1
-            moves += 1
-            continue
-        break
-    stats = SolveStats(
-        nodes=moves,
-        swaps=swaps,
-        wall_time=time.perf_counter() - t0,
-        seed=seed,
-    )
+        swp = _first_swap(rm, by_edge)
+        if swp is None:
+            break
+        removed, first, second = swp
+        del current[removed[0]]
+        current.update((first, second))
+        swaps += 1
+        moves += 1
+    stats = SolveStats(nodes=moves, swaps=swaps, wall_time=time.perf_counter() - t0, seed=seed)
     return SolveReport(RainbowMatching(tuple(current.items())), CERT_LOCAL, stats)
 
 
@@ -771,26 +776,20 @@ def good_edges(inst: Instance, rm: RainbowMatching) -> GoodEdgeTable:
 
     An edge e of the matching M is good for an unused colour i when at
     least two edges of matching i meet M only inside e; those first two
-    witnesses are recorded.  Raises :class:`ExtensionAvailable` naming
-    an extending edge when rm is not maximal, and ValueError when rm is
-    not a valid rainbow matching at all.
+    witnesses are recorded; ``swap`` is the first swap move, as
+    :func:`find_swap` gives it, all from one scan.  Raises
+    :class:`ExtensionAvailable` naming the first extension move when rm
+    is not maximal, and ValueError when rm is not a valid rainbow
+    matching at all.
     """
     if not is_rainbow_matching(inst, rm):
         raise ValueError("not a valid rainbow matching for this instance")
-    ext = find_extension(inst, rm)
-    if ext is not None:
-        raise ExtensionAvailable(*ext)
-    table = _qualifying_by_edge(inst, rm)
+    table = _classify(inst, rm)
     used_colours = set(rm.colours())
-    good: dict[int, dict[Edge, tuple[Edge, Edge]]] = {}
-    g: dict[int, int] = {}
-    h: dict[int, int] = {}
-    for colour in range(inst.n):
-        if colour in used_colours:
-            continue
-        good[colour] = {}
-        g[colour] = 0
-        h[colour] = 0
+    unused = [colour for colour in range(inst.n) if colour not in used_colours]
+    good: dict[int, dict[Edge, tuple[Edge, Edge]]] = {colour: {} for colour in unused}
+    g = dict.fromkeys(unused, 0)
+    h = dict.fromkeys(unused, 0)
     for e, per_colour in table.items():
         for colour, fs in per_colour.items():
             h[colour] += len(fs)
@@ -805,6 +804,7 @@ def good_edges(inst: Instance, rm: RainbowMatching) -> GoodEdgeTable:
         good=good,
         g=g,
         h=h,
+        swap=_first_swap(rm, table),
     )
 
 
@@ -833,7 +833,7 @@ def chernoff_tail(n_trials: int, p, epsilon) -> decimal.Decimal:
 
 def sample_and_extend(
     inst: Instance,
-    target: int,
+    *,
     seed: int | None = None,
     retries: int = DEFAULT_SAMPLE_RETRIES,
 ) -> SolveReport | SampleExtendFailure:
@@ -845,8 +845,8 @@ def sample_and_extend(
     avoiding S, or the retry limit is reached.  It then runs the local
     search on the instance restricted to edges avoiding S and greedily
     extends the result with edges inside S.  Success is a valid rainbow
-    matching of size exactly ``target`` (which must equal n); any
-    shortfall yields a :class:`SampleExtendFailure` naming the stage.
+    matching of size exactly n, one edge of every colour; any shortfall
+    yields a :class:`SampleExtendFailure` naming the stage.
 
     The per-colour conditions are checked in exact integer arithmetic.
     At small n they routinely fail (the guarantees are asymptotic); the
@@ -854,8 +854,6 @@ def sample_and_extend(
     instances succeed regardless.
     """
     n = inst.n
-    if target != n:
-        raise ValueError(f"target must equal the number of matchings ({n}), got {target}")
     t0 = time.perf_counter()
     if n == 0:
         return SolveReport(RainbowMatching(), CERT_HEURISTIC, SolveStats(seed=seed))

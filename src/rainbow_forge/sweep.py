@@ -45,11 +45,10 @@ from .solvers import (
     CERT_EXACT,
     CERT_LOCAL,
     DEFAULT_SAMPLE_RETRIES,
+    ExtensionAvailable,
     SampleExtendFailure,
     SolveReport,
     exact_max_rainbow,
-    find_extension,
-    find_swap,
     good_edges,
     greedy_rainbow,
     local_search_rainbow,
@@ -101,9 +100,7 @@ SOLVERS: dict[str, Callable[..., SolveReport | SampleExtendFailure]] = {
     "exact": lambda inst, node_budget, **_: exact_max_rainbow(inst, node_budget=node_budget),
     "greedy": lambda inst, **_: greedy_rainbow(inst),
     "local": lambda inst, seed, **_: local_search_rainbow(inst, seed=seed),
-    "sample": lambda inst, seed, retries, **_: sample_and_extend(
-        inst, inst.n, seed=seed, retries=retries
-    ),
+    "sample": lambda inst, seed, retries, **_: sample_and_extend(inst, seed=seed, retries=retries),
 }
 
 
@@ -259,16 +256,16 @@ def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None
             check("exact certificate reproducible", re_solved.size == doc.size,
                   f"re-solved maximum {re_solved.size} != recorded {doc.size}")
     if valid and doc.certificate == CERT_LOCAL:
-        ext = find_extension(inst, rm)
-        check("no extension move", ext is None, f"colour {ext[0]} edge {ext[1]}" if ext else "")
-        swp = None
-        if ext is None:
-            swp = find_swap(inst, rm)
-            check("no swap move", swp is None, str(swp) if swp else "")
-        if ext is None and swp is None:
+        try:
+            table = good_edges(inst, rm)
+        except ExtensionAvailable as ext:
+            check("no extension move", False, f"colour {ext.colour} edge {ext.edge}")
+            return checks
+        check("no extension move", True)
+        check("no swap move", table.swap is None, str(table.swap) if table.swap else "")
+        if table.swap is None:
             gib = bounds_mod.check_gibounds(inst.r, inst.n, inst.min_matching_size(), rm.size)
             check("good-edge counting inequality", gib.holds, f"lhs {gib.lhs} > rhs {gib.rhs}")
-            table = good_edges(inst, rm)
             cap = comb(2 * inst.r, inst.r)
             for _, e in rm.assignment:
                 ell = sum(1 for colour in table.good if e in table.good[colour])

@@ -260,8 +260,8 @@ def test_c8_sample_and_extend_contract():
         base = rf.random_instance(3, 25, 5, seed=seed)
         inst = rf.dummy_lift(base, 45)  # matchings of size ceil((r+1)n/2) = 50
         assert inst.min_matching_size() == 50
-        first = rf.sample_and_extend(inst, 25, seed=seed)
-        second = rf.sample_and_extend(inst, 25, seed=seed)
+        first = rf.sample_and_extend(inst, seed=seed)
+        second = rf.sample_and_extend(inst, seed=seed)
         if isinstance(first, rf.SolveReport):
             assert first.size == 25
             assert rf.is_rainbow_matching(inst, first.matching)

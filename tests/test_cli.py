@@ -62,6 +62,28 @@ def test_gen_dummy_and_blowup(tmp_path):
     assert all(len(m) == 6 for m in comp.matchings)
 
 
+def test_repeated_calls_do_not_share_their_lists(tmp_path):
+    # the parser is built once per process; each call's --in and
+    # --blocked lists must still be its own
+    for n in (3, 4):
+        base = tmp_path / f"cycle{n}.rbf"
+        assert main(["gen", "--construction", "cycle", "--n", str(n), "--out", str(base)]) == 0
+        lifted = tmp_path / f"lifted{n}.rbf"
+        assert main(["gen", "--construction", "dummy", "--in", str(base), "--m", "1",
+                     "--out", str(lifted)]) == 0
+        assert rf.parse_instance(lifted.read_text()) == rf.dummy_lift(rf.cycle_instance(n), 1)
+
+    part = tmp_path / "part.rbf"
+    part.write_text(rf.serialize_instance(rf.find_blocking_family(3, 4, 3, budget=20, seed=0).inst))
+    composed = []
+    for k in range(2):
+        out = tmp_path / f"composed{k}.rbf"
+        assert main(["gen", "--construction", "blowup", "--in", str(part), "--blocked", "3",
+                     "--out", str(out)]) == 0
+        composed.append(out.read_text())
+    assert composed[0] == composed[1]
+
+
 def test_bounds_table_contains_exact_rational(capsys):
     assert main(["bounds", "--r", "3", "--n", "1000"]) == 0
     out = capsys.readouterr().out
@@ -326,6 +348,13 @@ def test_verify_prints_the_checks_of_verify_report(tmp_path, capsys, solver):
 MOVES = rf.Instance(r=3, matchings=(((0, 1, 2),), ((0, 5, 6),), ((1, 7, 8),)))
 
 
+# the line each failed check prints, with the move it found
+MOVE_LINES = {
+    "no extension move": "FAIL: no extension move (colour 2 edge (1, 7, 8))",
+    "no swap move": "FAIL: no swap move (((0, (0, 1, 2)), (1, (0, 5, 6)), (2, (1, 7, 8))))",
+}
+
+
 @pytest.mark.parametrize(
     "assignment, failed",
     [(((1, (0, 5, 6)),), "no extension move"), (((0, (0, 1, 2)),), "no swap move")],
@@ -340,7 +369,7 @@ def test_verify_fails_a_local_optimum_that_admits_a_move(tmp_path, capsys, assig
     assert code == 4
     assert [check.name for check in checks if not check.ok] == [failed]
     assert checks[-1].name == failed
-    assert lines[-1].startswith(f"FAIL: {failed} (")
+    assert lines[-1] == MOVE_LINES[failed]
 
 
 def test_sweep_builds_each_instance_once(tmp_path, capsys, monkeypatch):

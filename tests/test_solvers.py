@@ -5,13 +5,14 @@ from fractions import Fraction
 from math import ceil, comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rainbow_forge as rf
 from rainbow_forge import solvers
 
 from bnb_reference import reference_branch_and_bound
+import local_reference
 from oracle import brute_force_max_rainbow
 
 
@@ -262,6 +263,66 @@ def test_moves_ignore_vertices_outside_the_instance():
     assert rf.find_swap(inst, rm) == ((0, (0, 1, 99)), (1, (0, 5, 6)), (2, (1, 7, 8)))
 
 
+def test_find_swap_requires_extension_maximality():
+    # colour 2's edge (1, 7, 8) is disjoint from (0, 5, 6), so the matching
+    # is not extension-maximal and no swap is looked for
+    inst = rf.Instance(r=3, matchings=(((0, 1, 2),), ((0, 5, 6),), ((1, 7, 8),)))
+    with pytest.raises(rf.ExtensionAvailable) as exc:
+        rf.find_swap(inst, rf.RainbowMatching(((1, (0, 5, 6)),)))
+    assert (exc.value.colour, exc.value.edge) == (2, (1, 7, 8))
+
+
+@st.composite
+def local_families(draw) -> rf.Instance:
+    """A random family (r 2..4, n <= 14), a dummy lift of one, or an ach
+    family (r 3..5, even n from 2^(r-1) to 2^r)."""
+    kind = draw(st.sampled_from(("random", "dummy", "ach")))
+    if kind == "ach":
+        r = draw(st.integers(3, 5))
+        return rf.ach_instance(r, 2 * draw(st.integers(2 ** (r - 2), 2 ** (r - 1))))
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 14))
+    inst = rf.random_instance(r, n, draw(st.integers(1, n)), seed=draw(st.integers(0, 10_000)))
+    return rf.dummy_lift(inst, draw(st.integers(1, 3))) if kind == "dummy" else inst
+
+
+@settings(max_examples=120, deadline=None)
+@given(local_families(), st.one_of(st.none(), st.integers(0, 10_000)))
+# its one swap has two second edges to choose from: (1, 4, 5, 12) comes first
+@example(rf.random_instance(4, 3, 3, seed=209), None)
+def test_local_search_makes_the_reference_moves(inst, seed):
+    got = rf.local_search_rainbow(inst, seed=seed)
+    want = local_reference.local_search_rainbow(inst, seed=seed)
+    assert (got.matching, got.stats.nodes, got.stats.swaps) == (
+        want.matching, want.stats.nodes, want.stats.swaps
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(local_families(), st.randoms(use_true_random=False))
+def test_moves_match_the_reference_from_any_start(inst, rnd):
+    # first fit over a random subset of the colours: most such matchings
+    # admit an extension, which local search from greedy rarely meets
+    used: set[int] = set()
+    pairs = []
+    for colour in rnd.sample(range(inst.n), rnd.randint(0, inst.n)):
+        for e in inst.matchings[colour]:
+            if used.isdisjoint(e):
+                pairs.append((colour, e))
+                used.update(e)
+                break
+    rm = rf.RainbowMatching(tuple(pairs))
+    # take the reference's extension moves until there is none left
+    while (ext := local_reference.find_extension(inst, rm)) is not None:
+        assert rf.find_extension(inst, rm) == ext
+        with pytest.raises(rf.ExtensionAvailable) as exc:
+            rf.find_swap(inst, rm)
+        assert (exc.value.colour, exc.value.edge) == ext
+        rm = rf.RainbowMatching(rm.assignment + (ext,))
+    assert rf.find_extension(inst, rm) is None
+    assert rf.find_swap(inst, rm) == local_reference.find_swap(inst, rm)
+
+
 def _meets_only_inside(f, vm, e):
     return set(f) & vm <= set(e)
 
@@ -299,6 +360,7 @@ def test_swap_and_good_edges_match_their_definitions(r, n, s, seed):
         assert swap == brute_force_swap(inst, rm)
 
         table = rf.good_edges(inst, rm)
+        assert table.swap == swap
         vm = {v for _, e in rm.assignment for v in e}
         for colour in range(inst.n):
             if colour in current:
@@ -384,7 +446,7 @@ def test_solver_memory_does_not_grow_with_vertex_ids():
         lambda inst: rf.local_search_rainbow(inst, seed=1),
         lambda inst: rf.greedy_rainbow(inst),
         lambda inst: rf.good_edges(inst, rf.RainbowMatching(((0, (0, big)), (1, (1, big + 1))))),
-        lambda inst: rf.sample_and_extend(inst, 2, seed=1),
+        lambda inst: rf.sample_and_extend(inst, seed=1),
     ]
     for solve in solvers:
         inst = rf.Instance(r=2, matchings=(((0, big),), ((1, big + 1),)))
@@ -403,7 +465,7 @@ def test_solver_memory_does_not_grow_with_vertex_ids():
         lambda inst: rf.local_search_rainbow(inst, seed=1),
         lambda inst: rf.greedy_rainbow(inst),
         lambda inst: rf.good_edges(inst, rf.local_search_rainbow(inst).matching),
-        lambda inst: rf.sample_and_extend(inst, 200, seed=1),
+        lambda inst: rf.sample_and_extend(inst, seed=1),
     ]
     for solve in heuristic:
         inst = rf.random_instance(3, 200, 200, 1)
@@ -443,20 +505,21 @@ def test_chernoff_tail_parameter_validation():
 
 def test_sample_and_extend_disjoint_succeeds():
     inst = disjoint_instance(3, 4, 3)
-    res = rf.sample_and_extend(inst, 4, seed=1)
+    res = rf.sample_and_extend(inst, seed=1)
     assert isinstance(res, rf.SolveReport)
     assert res.size == 4
     assert rf.is_rainbow_matching(inst, res.matching)
 
 
-def test_sample_and_extend_target_must_be_n():
-    with pytest.raises(ValueError):
-        rf.sample_and_extend(rf.cycle_instance(3), 2, seed=0)
+def test_sample_and_extend_takes_its_seed_by_keyword():
+    # a call that still passes the old target, n, is not read as a seed
+    with pytest.raises(TypeError):
+        rf.sample_and_extend(rf.cycle_instance(3), 2)
 
 
 def test_sample_and_extend_failure_names_stage():
     inst = rf.random_instance(3, 25, 5, seed=3)  # far below the intended size regime
-    res = rf.sample_and_extend(inst, 25, seed=9)
+    res = rf.sample_and_extend(inst, seed=9)
     assert isinstance(res, rf.SampleExtendFailure)
     assert res.stage in ("sampling", "extension")
     assert res.detail and res.attempts >= 1
@@ -466,7 +529,7 @@ def test_sample_and_extend_failure_names_stage():
 def test_sample_and_extend_reports_the_tail_bounds_below_p_one():
     # p = 4 n^(-1/(2r)) drops below 1 once n^(1/4) > 4 at r = 2
     inst = rf.random_instance(2, 257, 5, 1)
-    res = rf.sample_and_extend(inst, 257, seed=1)
+    res = rf.sample_and_extend(inst, seed=1)
     d = res.diagnostics if isinstance(res, rf.SampleExtendFailure) else res.stats.extra
     p = Fraction(d["p_effective"])
     assert 0 < p < 1
@@ -478,8 +541,8 @@ def test_sample_and_extend_reports_the_tail_bounds_below_p_one():
 
 def test_sample_and_extend_deterministic_per_seed():
     inst = rf.dummy_lift(rf.random_instance(3, 25, 5, seed=3), 45)
-    a = rf.sample_and_extend(inst, 25, seed=7)
-    b = rf.sample_and_extend(inst, 25, seed=7)
+    a = rf.sample_and_extend(inst, seed=7)
+    b = rf.sample_and_extend(inst, seed=7)
     assert isinstance(a, rf.SolveReport) and isinstance(b, rf.SolveReport)
     assert a.matching == b.matching
     assert a.stats.extra["attempts"] == b.stats.extra["attempts"]
@@ -489,7 +552,7 @@ def test_sample_and_extend_deterministic_per_seed():
 @given(st.integers(0, 10_000))
 def test_sample_and_extend_success_contract(seed):
     inst = rf.dummy_lift(rf.random_instance(3, 6, 2, seed=seed), 6)
-    res = rf.sample_and_extend(inst, 6, seed=seed)
+    res = rf.sample_and_extend(inst, seed=seed)
     if isinstance(res, rf.SolveReport):
         assert res.size == 6
         assert rf.is_rainbow_matching(inst, res.matching)
