@@ -12,8 +12,10 @@ threads.  Constructors normalise: every vertex id, part index and
 colour must be an int (``operator.index``, so a float or a string
 raises TypeError), and since a matching and a rainbow matching are
 sets, the edges of each matching are stored in lexicographic order and
-the pairs of an assignment in (colour, edge) order.  Vertex order
-inside an edge is kept as given and repeated edges are kept, so
+the pairs of an assignment in (colour, edge) order.  A matching that
+is already canonical (a tuple in that order of tuples of exact ints, as
+``parse_instance`` builds them) is kept as it is, not copied.  Vertex
+order inside an edge is kept as given and repeated edges are kept, so
 :func:`validate_instance` still reports them.  It checks the
 combinatorial invariants and reports violations as data instead of
 raising, so malformed inputs can be inspected.
@@ -22,8 +24,8 @@ raising, so malformed inputs can be inspected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import index, lt
+from itertools import chain, islice
+from operator import index, le, lt
 from typing import Iterable, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
@@ -54,6 +56,18 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
+def _is_canonical(m: Matching) -> bool:
+    """True when the constructor would store ``m`` as it is: a tuple in
+    lexicographic order of tuples of exact ints.  Order is tested first,
+    so unsorted input fails at once."""
+    return (
+        type(m) is tuple
+        and all(map(le, m, islice(m, 1, None)))
+        and set(map(type, m)) <= {tuple}
+        and set(map(type, chain.from_iterable(m))) <= {int}
+    )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A colour family: ``matchings[i]`` is colour ``i`` (0-based).
@@ -65,7 +79,11 @@ class Instance:
     (name, parameters, seed) as plain strings.
 
     Each matching's edges are stored in lexicographic order, so two
-    instances that differ only in that order are equal.
+    instances that differ only in that order are equal.  A matching
+    given as a tuple already in that order, of tuples of ``int`` (not
+    ``bool`` or another subclass), is stored as the same object; any
+    other is copied, its edges sorted before they are copied so that
+    the copies lie in memory in sorted order.
     """
 
     r: int
@@ -77,7 +95,10 @@ class Instance:
         object.__setattr__(
             self,
             "matchings",
-            tuple(tuple(tuple(map(index, e)) for e in sorted(m)) for m in self.matchings),
+            tuple(
+                m if _is_canonical(m) else tuple(tuple(map(index, e)) for e in sorted(m))
+                for m in self.matchings
+            ),
         )
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(map(index, self.partition)))

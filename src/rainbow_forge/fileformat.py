@@ -14,6 +14,14 @@ whitespace and a value one line without surrounding whitespace; the
 serializer rejects any other, and an edge of other than r vertices,
 which could not be read back.
 
+The parser reads a matching's edge lines in bulk while they are in the
+form the serializer writes (two spaces, r ASCII-digit ids separated by
+single spaces, a newline): after a ``matching`` line one pattern takes the
+longest such run, and one ``int`` pass and one ``zip`` turn it into
+edges.  Every other line, and a run holding an id that ``int`` rejects,
+goes through the line loop, which gives every ``ParseError`` its text
+and line.  The format is the same either way.
+
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
 report's certificate is one of :data:`CERTIFICATES`, and a ``failure``
@@ -23,6 +31,7 @@ certificate comes with a ``failure`` object, which no other has.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -88,6 +97,15 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 _HEADERS = frozenset({"r", "n", "partition", "meta", "matching"})
 
+# one line as str.splitlines cuts it: its text, then one line boundary
+# (the document's last line may have none)
+_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BOUNDARIES}]*)(?:\r\n|[{_BOUNDARIES}])?")
+
+# the longest run of edge lines of r ids as serialize_instance writes
+# them, given r - 1 (re keeps the patterns it has compiled)
+_EDGE_RUN = "(?:  [0-9]+(?: [0-9]+){%d}\n)+"
+
 
 def parse_instance(text: str) -> Instance:
     """Parse the documented format; reject invariant violations.
@@ -105,7 +123,27 @@ def parse_instance(text: str) -> Instance:
     matchings: list[list[tuple[int, ...]]] = []
     current: list[tuple[int, ...]] | None = None  # the last matching's edges
     lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    pos, end = 0, len(text)
+    run_pattern: re.Pattern[str] | None = None  # set by a matching line
+    while pos < end:
+        if run_pattern is not None:
+            run = run_pattern.match(text, pos)
+            run_pattern = None
+            if run is not None:
+                block = run.group()
+                try:
+                    edges = list(zip(*[iter(map(int, block.split()))] * r))
+                except ValueError:
+                    pass  # an id past int's digit limit: the line loop reports it
+                else:
+                    current.extend(edges)
+                    lineno += block.count("\n")
+                    pos = run.end()
+                    continue
+        line = _LINE.match(text, pos)
+        raw = line.group(1)
+        pos = line.end()
+        lineno += 1
         # split() and strip() agree on whitespace: no tokens is a blank line
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -167,6 +205,9 @@ def parse_instance(text: str) -> Instance:
                 )
             current = []
             matchings.append(current)
+            # a line of r ids takes at least 2r characters
+            if r is not None and 0 < 2 * r < end:
+                run_pattern = re.compile(_EDGE_RUN % (r - 1))
     if not version_seen:
         raise ParseError("empty document", max(lineno, 1))
     if r is None:

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable
 
 from .core import Edge, Instance, RainbowMatching
-from .solvers import SwapAvailable, good_edges
+from .solvers import GoodEdgeTable, SwapAvailable, good_edges
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,14 @@ def extract_setpairs(inst: Instance, rm: RainbowMatching, e: Edge) -> SetPairSys
     table = good_edges(inst, rm)  # checks validity and extension-maximality, finds a swap
     if table.swap is not None:
         raise SwapAvailable(*table.swap)
+    return table_setpairs(table, e)
+
+
+def table_setpairs(table: GoodEdgeTable, e: Edge) -> SetPairSystem:
+    """The witness set-pair system of matching edge e, read from the
+    good-edge table of its matching (see :func:`extract_setpairs`, which
+    also checks that the matching is swap-maximal).  Raises ValueError
+    when e is good for no colour."""
     witnesses = [
         table.good[colour][e] for colour in sorted(table.good) if e in table.good[colour]
     ]

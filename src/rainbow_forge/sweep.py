@@ -40,7 +40,7 @@ from . import bounds as bounds_mod
 from .constructions import ach_instance, cycle_instance, k4_union_instance, random_instance
 from .core import Instance, is_rainbow_matching
 from .fileformat import CERT_FAILURE, ReportDoc, serialize_instance, serialize_report
-from .setpairs import bollobas_sum, extract_setpairs, is_cross_intersecting
+from .setpairs import bollobas_sum, is_cross_intersecting, table_setpairs
 from .solvers import (
     CERT_EXACT,
     CERT_LOCAL,
@@ -273,7 +273,7 @@ def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None
                     continue
                 check(f"edge {e} good for at most C(2r,r)/2 colours", 2 * ell <= cap,
                       f"{ell} > {cap // 2}")
-                system = extract_setpairs(inst, rm, e)
+                system = table_setpairs(table, e)
                 ok, witness = is_cross_intersecting(system)
                 check(f"edge {e} set-pair system cross-intersecting", ok,
                       f"violation at pair {witness}" if witness else "")

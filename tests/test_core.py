@@ -1,4 +1,5 @@
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,40 @@ def test_constructor_sorts_edges_only():
     assert inst.matchings == (((2, 3),), ((1, 0),), ((0, 1), (0, 1)))
     codes = [v.code for v in rf.validate_instance(inst)]
     assert codes == ["edge-vertices", "intra-matching intersection"]
+
+
+def test_constructor_keeps_a_canonical_matching():
+    m = ((0, 1), (2, 3), (2, 3), (4, 5))  # repeated edges are still sorted order
+    inst = rf.Instance(r=2, matchings=(m, ()))
+    assert inst.matchings[0] is m
+    assert inst.matchings[1] == ()
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ((0, True), (2, 3)),
+        ((0, _Int(1)), (2, _Int(3))),
+        ([0, 1], [2, 3]),
+        ([0, 1],),
+    ],
+    ids=["bool", "int-subclass", "list-edges", "one-list-edge"],
+)
+def test_constructor_normalises_a_sorted_non_canonical_matching(m):
+    inst = rf.Instance(r=2, matchings=(m,))
+    edges = inst.matchings[0]
+    assert edges == tuple(tuple(map(operator.index, e)) for e in sorted(m))
+    assert edges is not m
+    assert all(type(e) is tuple and all(type(v) is int for v in e) for e in edges)
+
+
+def test_constructor_rejects_a_sorted_matching_with_a_float_vertex():
+    with pytest.raises(TypeError):
+        rf.Instance(r=2, matchings=(((0, 1.0), (2, 3)),))
 
 
 def test_rainbow_matching_sorts_pairs_by_colour_then_edge():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -161,7 +162,9 @@ def _text(rnd: random.Random, r, matchings, part) -> str:
         tokens = lines[i].split()
         kind = rnd.choice(("token", "short", "drop", "comment", "blank", "tabs"))
         if kind == "token" and tokens:
-            tokens[rnd.randrange(len(tokens))] = rnd.choice(["x", "1.5", "-", "0x1", "2e3", "+1", "1_0"])
+            tokens[rnd.randrange(len(tokens))] = rnd.choice(
+                ["x", "1.5", "-", "0x1", "2e3", "+1", "1_0", "9" * 5000]
+            )
             lines[i] = "  " + " ".join(tokens)
         elif kind == "short" and tokens:
             lines[i] = " ".join(tokens[:-1])
@@ -190,6 +193,46 @@ def _outcome(parse, text):
 def test_parse_instance_matches_reference(family, rnd):
     text = _text(rnd, *family)
     assert _outcome(rf.parse_instance, text) == _outcome(io_reference.parse_instance, text)
+
+
+# matching 0 and 1 are canonical blocks, read a block at a time;
+# matching 2 starts canonical, then takes one of the lines below
+_BLOCKS = (
+    "rainbow-forge/1\nr 3\nn 3\n"
+    "matching 0\n  0 1 2\n  3 4 5\n"
+    "matching 1\n  0 4 8\n  1 5 6\n"
+    "matching 2\n  1 2 3\n  4 5 6\n"
+)
+_BOUNDARY_CASES = {
+    "comment": _BLOCKS + "# 7 8 9\n  7 8 9\n",
+    "tab-indented": _BLOCKS + "\t7 8 9\n  10 11 12\n",
+    "three-space-indent": _BLOCKS + "   7 8 9\n  10 11 12\n",
+    "short": _BLOCKS + "  7 8\n",
+    "plus-sign": _BLOCKS + "  7 +8 9\n",
+    "5000-digit-id": _BLOCKS + "  7 8 " + "9" * 5000 + "\n",
+    "non-ascii-digit": _BLOCKS + "  7 8 \u0669\n  10 11 12\n",
+    "no-final-newline": _BLOCKS + "  7 8 9\n  10 11 12",
+    "crlf": (_BLOCKS + "  7 8 9\n").replace("\n", "\r\n"),
+    "form-feed": _BLOCKS.replace("  4 5 6\n", "  4 5 6\x0c  7 8 9\n"),
+    "line-separator": _BLOCKS + "  7 8 9\u2028  10 11 12\n",
+    "wrong-arity": _BLOCKS + "  7 8 9 10\n",
+    "header-after-matchings": _BLOCKS + "meta note late\n",
+    "edge-after-header": _BLOCKS + "meta note late\n  7 8 9\n",
+}
+
+
+@pytest.mark.parametrize("text", _BOUNDARY_CASES.values(), ids=_BOUNDARY_CASES.keys())
+def test_parse_instance_at_the_edge_of_a_bulk_run(text):
+    assert _outcome(rf.parse_instance, text) == _outcome(io_reference.parse_instance, text)
+
+
+def test_wrong_arity_after_bulk_blocks_names_its_line():
+    outcome = _outcome(rf.parse_instance, _BOUNDARY_CASES["wrong-arity"])
+    assert outcome == (
+        "parse",
+        "line 13: edge 2 of matching 2: expected 3 vertices, got 4",
+        13,
+    )
 
 
 def test_shared_skips_a_matching_with_no_other_non_empty_edge():

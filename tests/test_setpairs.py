@@ -82,6 +82,18 @@ def test_extraction_from_local_optimum():
     assert extracted >= 1
 
 
+def test_table_setpairs_match_extraction():
+    inst = rf.ach_instance(3, 6)
+    rm = rf.local_search_rainbow(inst, seed=5).matching
+    table = rf.good_edges(inst, rm)
+    for _, e in rm.assignment:
+        if any(e in table.good[c] for c in table.good):
+            assert rf.setpairs.table_setpairs(table, e) == rf.extract_setpairs(inst, rm, e)
+        else:
+            with pytest.raises(ValueError, match="good for no unused colour"):
+                rf.setpairs.table_setpairs(table, e)
+
+
 def test_extraction_rejects_non_maximal_matching():
     inst = rf.ach_instance(3, 6)
     rm = rf.RainbowMatching(((0, inst.matchings[0][0]),))

@@ -118,3 +118,18 @@ def test_run_sweep_skips_cells_outside_the_domain(tmp_path):
     with pytest.raises(ValueError, match="no valid grid cells"):
         sweep.run_sweep([outside], tmp_path / "empty", stamp="s")
     assert not (tmp_path / "empty").exists()
+
+
+def test_verify_report_scans_a_local_optimum_once(monkeypatch):
+    # each good edge's set-pair system comes from the one good-edge table
+    inst = rf.ach_instance(5, 32)
+    doc = sweep.run_solver(inst, "local", seed=1)
+    scans = []
+    real = rf.solvers._classify
+    monkeypatch.setattr(rf.solvers, "_classify", lambda *a: scans.append(1) or real(*a))
+
+    checks = sweep.verify_report(inst, doc)
+
+    assert all(c.ok for c in checks)
+    assert sum("set-pair sum" in c.name for c in checks) == 8
+    assert len(scans) == 1
