@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .bounds import nth_root_floor
+from .bounds import _domain, nth_root_floor
 from .core import Edge, Instance, Matching, make_edge
 from .solvers import exact_max_rainbow
 
@@ -267,12 +267,12 @@ def psz_composition_params(r: int, n: int) -> PszParams:
     matchings of size n with no rainbow matching larger than
     ``bound = n - q``.  The identity n = (q-1) t + t' always holds, and
     q >= n^((r-1)/r) / (12 r) is verified here in exact integer
-    arithmetic.
+    arithmetic.  Outside that domain (r >= 3 and n > 6**r) it raises
+    ValueError with the reason ``upper_bound_g`` flags.
     """
-    if r < 3:
-        raise ValueError(f"requires r >= 3, got {r}")
-    if n <= 6 ** r:
-        raise ValueError(f"out of domain: requires n > 6**r = {6 ** r}, got {n}")
+    domain_ok, domain_reason = _domain(r, n)
+    if not domain_ok:
+        raise ValueError(domain_reason)
     root = nth_root_floor(n, r)
     a = root - 1 if root ** r == n else root
     t = 3 * (a + 1) * r

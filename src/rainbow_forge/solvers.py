@@ -10,7 +10,8 @@ search state of a class is one integer, the union of its live edges'
 bitmasks: a class is a matching, so the union alone tells how many
 edges are live, which comes first, and which of them an edge picked in
 another class removes.  Every colour must therefore be a matching of
-r-sets; the search raises ValueError naming a colour that is not.
+r-sets; the exact solver raises ValueError naming a colour that is
+not, whichever path it takes.
 
 A disjoint union of small pieces, which every family of the paper is,
 is solved one component at a time instead.  A union-find over the
@@ -62,6 +63,8 @@ for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
 bits whatever the vertex ids are, and groups colours with identical
 edge sets into the exact solver's classes, each edge with its bitmask.
+The same pass checks every class, maps its vertex bits and masks to
+its edges, and runs the union-find, so both exact paths read one table.
 """
 
 from __future__ import annotations
@@ -185,34 +188,92 @@ class _ColourClass:
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
     edges: tuple[Edge, ...]  # lexicographically sorted
     masks: tuple[int, ...]
+    union: int  # the OR of the masks
+    edge_at: dict[int, int]  # vertex bit -> mask of the class edge on it
+    edge_of: dict[int, Edge]  # mask -> edge
 
 
 class _Table:
-    """The exact solver's view of one instance (see the module docstring)."""
+    """The exact solver's view of one instance (see the module docstring),
+    built in one pass over the edges.
+
+    Besides the classes it holds the connected components, as bitmasks
+    over the dense ids ordered by their lowest vertex (``comps``), and
+    the component index of each dense id (``label``); every vertex of
+    the table lies on an edge.  Raises ValueError naming the colour when
+    a class's edges are not pairwise disjoint r-sets, on which the
+    bounds of both exact paths, which count r vertices per edge, would
+    be wrong.
+    """
 
     def __init__(self, inst: Instance):
+        r = inst.r
         # dense vertex ids, sorted(vertices) -> 0..V-1
         index = self.index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
+        parent = list(range(len(index)))
 
-        def mask(e: Edge) -> int:
-            mk = 0
-            for v in e:
-                mk |= 1 << index[v]
-            return mk
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
 
         # colours with identical edge sets, grouped, each edge with its
         # bitmask over the dense ids; in order of their lowest member
         groups: dict[Matching, list[int]] = {}
         for colour, es in enumerate(inst.matchings):
             groups.setdefault(es, []).append(colour)
-        self.classes = [
-            _ColourClass(tuple(members), es, tuple(map(mask, es)))
-            for es, members in groups.items()
-        ]
+        bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
+        self.classes: list[_ColourClass] = []
+        for es, members in groups.items():
+            at: dict[int, int] = {}
+            of: dict[int, Edge] = {}
+            union = 0
+            for e in es:
+                mk = 0
+                a = -1
+                for v in e:
+                    x = index[v]
+                    mk |= 1 << x
+                    b = find(x)
+                    if a < 0:
+                        a = b
+                    elif b != a:
+                        parent[b] = a
+                if mk.bit_count() != r:
+                    raise ValueError(f"colour {members[0]}: edge {e} is not a {r}-set")
+                union |= mk
+                of[mk] = e
+                rem = mk
+                while rem:
+                    low = rem & -rem
+                    at[bits.setdefault(low, low)] = mk
+                    rem ^= low
+            if union.bit_count() != r * len(es):
+                raise ValueError(f"colour {members[0]}: edges intersect, so it is not a matching")
+            self.classes.append(_ColourClass(tuple(members), es, tuple(of), union, at, of))
+
+        first: dict[int, int] = {}
+        label = self.label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
+        comps = self.comps = [0] * len(first)
+        for x, c in enumerate(label):
+            comps[c] |= 1 << x
 
 
 # ---------------------------------------------------------------------------
 # exact search
+
+
+def _witness(classes: Sequence[_ColourClass], chosen: Iterable[tuple[int, int]]) -> RainbowMatching:
+    """The rainbow matching of (class, edge mask) picks: a class's k-th
+    pick takes its k-th member colour."""
+    given: dict[int, int] = {}
+    pairs = []
+    for ci, mk in chosen:
+        k = given.get(ci, 0)
+        given[ci] = k + 1
+        cl = classes[ci]
+        pairs.append((cl.members[k], cl.edge_of[mk]))
+    return RainbowMatching(tuple(pairs))
 
 
 def _branch_and_bound(
@@ -236,13 +297,9 @@ def _branch_and_bound(
       class's edges up to the chosen one are cleared, the rest is its
       tail;
     * another class loses the edges on the picked edge's vertices,
-      found through a per-class map from a vertex bit to the mask of
-      the class edge on it (O(E r) entries, sharing one key per bit).
+      found through the class's ``edge_at`` map.
 
-    The vertex bound's union is the OR of the class unions.  Raises
-    ValueError naming the colour when a class's edges are not pairwise
-    disjoint r-sets, on which these counts, and so the bounds, would
-    be wrong.
+    The vertex bound's union is the OR of the class unions.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag).
@@ -252,36 +309,7 @@ def _branch_and_bound(
     nodes = 0
     chosen: list[tuple[int, int]] = []  # (class, mask of the chosen edge)
     left = [len(cl.members) for cl in classes]
-    edge_at: list[dict[int, int]] = []  # per class: vertex bit -> class edge mask
-    start: dict[int, int] = {}  # open class -> union of its live edges
-    bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
-    for ci, cl in enumerate(classes):
-        at: dict[int, int] = {}
-        union = 0
-        for e, mk in zip(cl.edges, cl.masks):
-            if mk.bit_count() != r:
-                raise ValueError(f"colour {cl.members[0]}: edge {e} is not a {r}-set")
-            union |= mk
-            rem = mk
-            while rem:
-                low = rem & -rem
-                at[bits.setdefault(low, low)] = mk
-                rem ^= low
-        if union.bit_count() != r * len(cl.masks):
-            raise ValueError(f"colour {cl.members[0]}: edges intersect, so it is not a matching")
-        edge_at.append(at)
-        if union:
-            start[ci] = union
-
-    def witness() -> RainbowMatching:
-        counts: dict[int, int] = {}
-        pairs = []
-        for ci, mk in chosen:
-            k = counts.get(ci, 0)
-            counts[ci] = k + 1
-            cl = classes[ci]
-            pairs.append((cl.members[k], cl.edges[cl.masks.index(mk)]))
-        return RainbowMatching(tuple(pairs))
+    edge_at = [cl.edge_at for cl in classes]
 
     def dfs(live: dict[int, int]) -> None:
         nonlocal best_size, best_witness, nodes
@@ -291,7 +319,7 @@ def _branch_and_bound(
         cur = len(chosen)
         if cur > best_size:
             best_size = cur
-            best_witness = witness()
+            best_witness = _witness(classes, chosen)
         if not live:
             return
         total_ub = 0
@@ -305,8 +333,6 @@ def _branch_and_bound(
             if pick_len < 0 or count < pick_len:
                 pick, pick_len = ci, count
             union |= u
-        if cur + total_ub <= best_size:
-            return
         if cur + min(total_ub, union.bit_count() // r) <= best_size:
             return
 
@@ -343,37 +369,10 @@ def _branch_and_bound(
 
     exhausted = False
     try:
-        dfs(start)
+        dfs({ci: cl.union for ci, cl in enumerate(classes) if cl.union})
     except _BudgetExhausted:
         exhausted = True
     return best_witness, nodes, exhausted
-
-
-def _components(table: _Table) -> tuple[list[int], list[int]]:
-    """Connected components as bitmasks over dense ids, ordered by their
-    lowest vertex, and the component index of each dense id (every
-    vertex of the table lies on an edge)."""
-    index = table.index
-    parent = list(range(len(index)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for cl in table.classes:
-        for e in cl.edges:
-            a = find(index[e[0]])
-            for v in e[1:]:
-                b = find(index[v])
-                if b != a:
-                    parent[b] = a
-    first: dict[int, int] = {}
-    label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
-    comps = [0] * len(first)
-    for x, c in enumerate(label):
-        comps[c] |= 1 << x
-    return comps, label
 
 
 def _profiles(
@@ -448,7 +447,7 @@ def _by_components(
     nv = len(table.index)  # every vertex lies on an edge
     if incumbent.size >= min(sum(min(k, len(cl.masks)) for k, cl in zip(caps, classes)), nv // r):
         return None  # meets the search's root bound: it stops at once
-    comps, label = _components(table)
+    comps, label = table.comps, table.label
     if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
         return None  # a dominant component makes its profiles explode
     # The attempt may take one node per (component, class edge) pair.
@@ -461,14 +460,11 @@ def _by_components(
     if budget is not None:
         limit = min(limit, budget)
 
-    # each component's edges as (class, mask) items, with their positions
+    # each component's edges as (class, mask) items
     items: list[list[tuple[int, int]]] = [[] for _ in comps]
-    where: list[list[int]] = [[] for _ in comps]
     for ci, cl in enumerate(classes):
-        for pos, mk in enumerate(cl.masks):
-            c = label[(mk & -mk).bit_length() - 1]
-            items[c].append((ci, mk))
-            where[c].append(pos)
+        for mk in cl.masks:
+            items[label[(mk & -mk).bit_length() - 1]].append((ci, mk))
     # identical components (the same classes and edges up to a shift of
     # the dense ids) share one enumeration
     group_of: dict[tuple[tuple[int, int], ...], int] = {}
@@ -576,8 +572,7 @@ def _by_components(
         path.append(layer[path[-1]])
     path.reverse()
     rem = list(start)
-    given = [0] * len(classes)
-    pairs = []
+    chosen = []
     for c, g in enumerate(comp_group):
         for move, witness in moves[g]:
             child = apply(rem, move)
@@ -585,13 +580,12 @@ def _by_components(
                 break
         take = {order[s]: rem[s] - child[s] for s, _ in move}
         for t in witness:
-            ci = items[c][t][0]
+            ci, mk = items[c][t]
             if take[ci]:
                 take[ci] -= 1
-                pairs.append((classes[ci].members[given[ci]], classes[ci].edges[where[c][t]]))
-                given[ci] += 1
+                chosen.append((ci, mk))
         rem = child
-    return RainbowMatching(tuple(pairs)), nodes, extra
+    return _witness(classes, chosen), nodes, extra
 
 
 def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveReport:
@@ -610,9 +604,9 @@ def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveRe
     With an unexhausted budget the certificate is ``exact-optimum`` and
     the size is the true maximum; if the search explores ``node_budget``
     nodes first, the best matching found so far is returned with
-    certificate ``heuristic``.  The branch-and-bound raises ValueError
-    on a colour that is not a matching of r-sets, which no valid
-    instance has.
+    certificate ``heuristic``.  Either path raises ValueError on a
+    colour that is not a matching of r-sets, which no valid instance
+    has.
     """
     t0 = time.perf_counter()
     incumbent = local_search_rainbow(inst).matching

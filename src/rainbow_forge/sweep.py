@@ -365,15 +365,16 @@ def run_sweep(
     cells: list[CellSpec], out_dir: str | Path, jobs: int = 1, stamp: str | None = None
 ) -> tuple[Path, list[dict[str, Any]]]:
     """Execute every cell, persist artifacts, return the sweep directory
-    and the records in grid order.  Cells outside their generator's
-    domain are skipped; when no cell is left, raise ValueError and create
-    no directory."""
+    and the records in grid order.  A repeated cell runs once, at its
+    first place.  Cells outside their generator's domain are skipped;
+    when no cell is left, raise ValueError and create no directory."""
     root = Path(out_dir)
     if stamp is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
 
     # one task per instance, in order of first appearance; a task holds
     # its instance only while it runs
+    cells = list(dict.fromkeys(cells))
     groups: dict[str, list[int]] = {}
     for i, spec in enumerate(cells):
         groups.setdefault(spec.instance_id, []).append(i)

@@ -188,6 +188,33 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_exits_3_when_sample_and_extend_fails(tmp_path, capsys):
+    inst_path = tmp_path / "r.rbf"
+    argv = ["gen", "--construction", "random", "--r", "3", "--n", "10", "--seed", "1"]
+    assert main(argv + ["--out", str(inst_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--in", str(inst_path), "--solver", "sample"]) == 3
+    assert "sample-and-extend failed at stage sampling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "missing file: "),
+        ("", "invalid instance: line 1: empty document"),
+        ("rainbow-forge/1\nr 2\nn 1\nmeta\nmatching 0\n  0 1\n",
+         "invalid instance: line 4: meta line needs a key"),
+    ],
+    ids=["missing", "empty", "bare-meta"],
+)
+def test_bad_instance_files_exit_2(tmp_path, capsys, text, message):
+    inst_path = tmp_path / "a.rbf"
+    if text is not None:
+        inst_path.write_text(text)
+    assert main(["solve", "--in", str(inst_path), "--solver", "exact"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_verify_rejects_tampered_report(tmp_path, capsys):
     inst_path = tmp_path / "a.rbf"
     report_path = tmp_path / "a.json"
@@ -385,6 +412,16 @@ def test_sweep_builds_each_instance_once(tmp_path, capsys, monkeypatch):
     ]) == 0
     assert "8 cells" in capsys.readouterr().out
     assert built == [(r, n, n, 5) for r in (1, 2, 3) for n in (3, 4)]
+
+
+def test_sweep_runs_a_repeated_cell_once(tmp_path, capsys):
+    assert main([
+        "sweep", "--construction", "cycle", "--r", "2", "--n", "4,4",
+        "--solver", "local", "--seed", "1", "--out", str(tmp_path),
+    ]) == 0
+    assert capsys.readouterr().out.startswith("1 cells -> ")
+    (records,) = (tmp_path / "sweeps").glob("*/records.jsonl")
+    assert len(records.read_text().splitlines()) == 1
 
 
 def test_sweep_layout_and_determinism(tmp_path, capsys):

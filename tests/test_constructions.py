@@ -202,8 +202,15 @@ def test_psz_composition_identity_and_q_bound():
 
 
 def test_psz_composition_out_of_domain():
-    with pytest.raises(ValueError):
-        rf.psz_composition_params(3, 216)
+    # the reason is the one upper_bound_g flags for the same (r, n)
+    for r, n, reason in [
+        (2, 10 ** 6, "requires r >= 3, got 2"),
+        (3, 216, "requires n > 6**r = 216, got 216"),
+        (4, 6 ** 4, "requires n > 6**r = 1296, got 1296"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            rf.psz_composition_params(r, n)
+        assert str(exc.value) == reason == rf.upper_bound_g(r, n).domain_reason
 
 
 def test_random_instance_deterministic_and_valid():

@@ -5,6 +5,8 @@ import pytest
 
 import rainbow_forge as rf
 
+from test_cli import MOVES
+
 
 def classic_family(m: int) -> rf.SetPairSystem:
     """Pair each singleton {i} with its complement in [m]; tight case."""
@@ -99,6 +101,13 @@ def test_extraction_rejects_non_maximal_matching():
     rm = rf.RainbowMatching(((0, inst.matchings[0][0]),))
     with pytest.raises(rf.ExtensionAvailable):
         rf.extract_setpairs(inst, rm, inst.matchings[0][0])
+
+
+def test_extraction_rejects_a_matching_that_admits_a_swap():
+    rm = rf.RainbowMatching(((0, (0, 1, 2)),))
+    with pytest.raises(rf.SwapAvailable) as exc:
+        rf.extract_setpairs(MOVES, rm, (0, 1, 2))
+    assert (exc.value.removed, exc.value.first, exc.value.second) == rf.find_swap(MOVES, rm)
 
 
 def test_extraction_rejects_foreign_or_barren_edge():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import ceil, comb
@@ -137,6 +138,31 @@ def test_exact_rejects_an_edge_of_the_wrong_size():
     inst = rf.Instance(r=3, matchings=(((0, 1, 2),), ((3, 4),)))
     with pytest.raises(ValueError, match=r"colour 1: edge \(3, 4\) is not a 3-set"):
         rf.exact_max_rainbow(inst)
+
+
+def test_exact_rejects_a_bad_colour_when_solving_by_components():
+    # ach(3, 8) is four gadgets side by side, which the component path
+    # solves; the table checks every colour before either path runs
+    inst = rf.ach_instance(3, 8)
+    matchings = list(inst.matchings)
+    matchings[7] = tuple(e[:2] for e in matchings[7])
+    with pytest.raises(ValueError, match=r"colour 7: edge \(0, 1\) is not a 3-set"):
+        rf.exact_max_rainbow(rf.Instance(3, tuple(matchings)))
+
+
+@pytest.mark.xfail(raises=RecursionError, strict=True)
+def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the branch-and-bound recurses once per search level, about 300 deep
+    # here; an explicit stack would return the budgeted result instead
+    inst = rf.random_instance(2, 300, 300, seed=1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        rep = rf.exact_max_rainbow(inst, node_budget=400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (rep.certificate, rep.size, rep.stats.nodes) == (rf.CERT_HEURISTIC, 296, 401)
+    assert rf.is_rainbow_matching(inst, rep.matching)
 
 
 @st.composite

@@ -120,6 +120,38 @@ def test_run_sweep_skips_cells_outside_the_domain(tmp_path):
     assert not (tmp_path / "empty").exists()
 
 
+def test_run_sweep_runs_a_repeated_cell_once(tmp_path):
+    spec = CellSpec("cycle", 2, 4, "local", 1)
+    sweep_dir, records = sweep.run_sweep([spec, spec], tmp_path, stamp="s")
+    assert [r["cell"] for r in records] == [spec.cell_id]
+    assert len((sweep_dir / "records.jsonl").read_text().splitlines()) == 1
+
+
+def test_run_sweep_never_overwrites_an_earlier_sweep(tmp_path):
+    spec = CellSpec("cycle", 2, 4, "local", 1)
+    first, _ = sweep.run_sweep([spec], tmp_path, stamp="s")
+    second, _ = sweep.run_sweep([spec], tmp_path, stamp="s")
+    assert (first.name, second.name) == ("s", "s-1")
+
+
+def test_verify_report_fails_a_colour_out_of_range():
+    inst = rf.cycle_instance(3)
+    rm = rf.RainbowMatching(((5, inst.matchings[0][0]),))
+    checks = sweep.verify_report(inst, rf.ReportDoc("local", rf.CERT_LOCAL, 1, rm))
+    assert str(checks[0]) == (
+        "FAIL: assignment is a rainbow matching "
+        "(colour 5 out of range for an instance with 3 matchings)"
+    )
+
+
+def test_verify_report_fails_an_exact_re_solve_out_of_budget():
+    inst = rf.random_instance(3, 10, 10, seed=1)
+    doc = sweep.run_solver(inst, "exact")
+    assert doc.certificate == rf.CERT_EXACT
+    checks = sweep.verify_report(inst, doc, node_budget=1)
+    assert str(checks[-1]) == "FAIL: exact certificate reproducible (re-solve budget exhausted)"
+
+
 def test_verify_report_scans_a_local_optimum_once(monkeypatch):
     # each good edge's set-pair system comes from the one good-edge table
     inst = rf.ach_instance(5, 32)
