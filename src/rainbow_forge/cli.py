@@ -127,7 +127,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--in", dest="input", required=True, help="instance file")
     ver.add_argument("--report", required=True, help="report file")
     ver.add_argument("--node-budget", type=int, default=None,
-                     help="budget for re-solving exact certificates")
+                     help="budget for proving exact certificates")
     ver.set_defaults(func=_cmd_verify)
 
     swp = sub.add_parser("sweep", help="run a generator x solver grid")

@@ -588,8 +588,14 @@ def _by_components(
     return _witness(classes, chosen), nodes, extra
 
 
-def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveReport:
-    """Maximum rainbow matching, starting from the local-search incumbent.
+def exact_max_rainbow(
+    inst: Instance,
+    node_budget: int | None = None,
+    *,
+    incumbent: RainbowMatching | None = None,
+) -> SolveReport:
+    """Maximum rainbow matching, starting from an incumbent: the given
+    rainbow matching of ``inst``, or else the local-search result.
 
     An instance that splits into components is solved by components
     (see the module docstring) when none of them holds more than half
@@ -607,9 +613,16 @@ def exact_max_rainbow(inst: Instance, node_budget: int | None = None) -> SolveRe
     certificate ``heuristic``.  Either path raises ValueError on a
     colour that is not a matching of r-sets, which no valid instance
     has.
+
+    A given ``incumbent`` must be a rainbow matching of ``inst``, which
+    is not checked here.  It replaces the local search and nothing else:
+    the search still returns a larger matching whenever one exists, so
+    an ``exact-optimum`` of the incumbent's size proves it maximum.  An
+    optimal incumbent that meets the root bound is proved at the root.
     """
     t0 = time.perf_counter()
-    incumbent = local_search_rainbow(inst).matching
+    if incumbent is None:
+        incumbent = local_search_rainbow(inst).matching
     table = _Table(inst)
     extra: dict[str, Any] = {"incumbent_size": incumbent.size}
     solved = _by_components(table, inst.r, node_budget, incumbent)

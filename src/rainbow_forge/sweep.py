@@ -77,7 +77,15 @@ class CellSpec:
 
     @property
     def cell_id(self) -> str:
-        return f"{self.instance_id}-{self.solver}-seed{self.seed}"
+        """Names the cell's report file.  A node budget and a non-default
+        retry count are part of it, so cells whose results may differ
+        never share a report file."""
+        cell = f"{self.instance_id}-{self.solver}-seed{self.seed}"
+        if self.node_budget is not None:
+            cell += f"-budget{self.node_budget}"
+        if self.retries != DEFAULT_SAMPLE_RETRIES:
+            cell += f"-retries{self.retries}"
+        return cell
 
 
 # Every entry calls its function through the module-level name when it
@@ -225,7 +233,10 @@ def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None
     checks in the order they are made.
 
     The assignment must be a rainbow matching of the recorded size.  An
-    ``exact-optimum`` is re-solved (within ``node_budget`` nodes).  A
+    ``exact-optimum`` is proved maximum by the exact search started from
+    the assignment as its incumbent, within ``node_budget`` nodes: the
+    check fails when the budget runs out or the search finds a larger
+    matching.  A
     ``local-optimum`` must admit neither an extension nor a swap, meet
     the good-edge counting inequality, and each of its good edges must
     give a cross-intersecting set-pair system with sum at most 1.
@@ -249,12 +260,12 @@ def verify_report(inst: Instance, doc: ReportDoc, node_budget: int | None = None
           f"recorded {doc.size}, assignment has {rm.size}")
 
     if valid and doc.certificate == CERT_EXACT:
-        re_solved = exact_max_rainbow(inst, node_budget=node_budget)
-        if re_solved.certificate != CERT_EXACT:
+        proof = exact_max_rainbow(inst, node_budget=node_budget, incumbent=rm)
+        if proof.certificate != CERT_EXACT:
             check("exact certificate reproducible", False, "re-solve budget exhausted")
         else:
-            check("exact certificate reproducible", re_solved.size == doc.size,
-                  f"re-solved maximum {re_solved.size} != recorded {doc.size}")
+            check("exact certificate reproducible", proof.size == doc.size,
+                  f"re-solved maximum {proof.size} != recorded {doc.size}")
     if valid and doc.certificate == CERT_LOCAL:
         try:
             table = good_edges(inst, rm)
@@ -365,16 +376,21 @@ def run_sweep(
     cells: list[CellSpec], out_dir: str | Path, jobs: int = 1, stamp: str | None = None
 ) -> tuple[Path, list[dict[str, Any]]]:
     """Execute every cell, persist artifacts, return the sweep directory
-    and the records in grid order.  A repeated cell runs once, at its
-    first place.  Cells outside their generator's domain are skipped;
-    when no cell is left, raise ValueError and create no directory."""
+    and the records in grid order.  Cells with one ``cell_id`` run once,
+    as the first of them (specs of a non-random construction that differ
+    only in ``size`` are one cell).  Cells outside their generator's
+    domain are skipped; when no cell is left, raise ValueError and
+    create no directory."""
     root = Path(out_dir)
     if stamp is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
 
     # one task per instance, in order of first appearance; a task holds
     # its instance only while it runs
-    cells = list(dict.fromkeys(cells))
+    unique: dict[str, CellSpec] = {}
+    for spec in cells:
+        unique.setdefault(spec.cell_id, spec)
+    cells = list(unique.values())
     groups: dict[str, list[int]] = {}
     for i, spec in enumerate(cells):
         groups.setdefault(spec.instance_id, []).append(i)

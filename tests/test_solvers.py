@@ -124,14 +124,39 @@ def test_exact_budget_exhaustion_is_heuristic():
     assert rep.size <= full.size
 
 
+def test_exact_from_a_given_incumbent_still_finds_the_maximum():
+    rng = random.Random(7)
+    for i in range(60):
+        r = rng.choice((2, 3, 4))
+        n = rng.randint(0, 5)
+        s = rng.randint(1, 5)
+        inst = rf.random_instance(r, n, s, seed=i)
+        best = brute_force_max_rainbow(inst)
+        for start in (rf.RainbowMatching(()), rf.greedy_rainbow(inst).matching):
+            rep = rf.exact_max_rainbow(inst, incumbent=start)
+            assert (rep.size, rep.certificate) == (best, rf.CERT_EXACT), (r, n, s, i)
+            assert rf.is_rainbow_matching(inst, rep.matching)
+
+
+def test_exact_proves_an_optimal_incumbent_at_the_root():
+    inst = rf.random_instance(3, 10, 10, seed=1)
+    optimum = rf.exact_max_rainbow(inst)
+    assert (optimum.size, optimum.stats.extra["incumbent_size"]) == (10, 9)
+    rep = rf.exact_max_rainbow(inst, incumbent=optimum.matching)
+    assert (rep.matching, rep.certificate, rep.stats.nodes) == (optimum.matching, rf.CERT_EXACT, 1)
+    assert rep.stats.extra["incumbent_size"] == 10
+
+
 def test_exact_rejects_a_colour_that_is_not_a_matching():
-    # colour 0's edges share vertex 1, or repeat one edge
+    # colour 0's edges share vertex 1, or repeat one edge; a given
+    # incumbent skips no check
     for inst in (
         rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),))),
         rf.Instance(r=2, matchings=(((0, 1), (0, 1)), ((0, 1),))),
     ):
-        with pytest.raises(ValueError, match="colour 0: edges intersect"):
-            rf.exact_max_rainbow(inst)
+        for incumbent in (None, rf.RainbowMatching(((1, inst.matchings[1][0]),))):
+            with pytest.raises(ValueError, match="colour 0: edges intersect"):
+                rf.exact_max_rainbow(inst, incumbent=incumbent)
 
 
 def test_exact_rejects_an_edge_of_the_wrong_size():

@@ -122,9 +122,42 @@ def test_run_sweep_skips_cells_outside_the_domain(tmp_path):
 
 def test_run_sweep_runs_a_repeated_cell_once(tmp_path):
     spec = CellSpec("cycle", 2, 4, "local", 1)
-    sweep_dir, records = sweep.run_sweep([spec, spec], tmp_path, stamp="s")
+    # a non-random construction ignores size, so this is the same cell
+    resized = CellSpec("cycle", 2, 4, "local", 1, size=2)
+    sweep_dir, records = sweep.run_sweep([spec, spec, resized], tmp_path, stamp="s")
     assert [r["cell"] for r in records] == [spec.cell_id]
     assert len((sweep_dir / "records.jsonl").read_text().splitlines()) == 1
+
+
+def test_run_sweep_gives_each_budget_its_own_report_file(tmp_path):
+    cells = [
+        CellSpec("random", 3, 6, "exact", 1, node_budget=2),
+        CellSpec("random", 3, 6, "exact", 1),
+    ]
+    _, records = sweep.run_sweep(cells, tmp_path, stamp="s")
+
+    assert [r["cell"] for r in records] == [
+        "random-r3-n6-m6-seed1-exact-seed1-budget2",
+        "random-r3-n6-m6-seed1-exact-seed1",
+    ]
+    assert [r["certificate"] for r in records] == [rf.CERT_HEURISTIC, rf.CERT_EXACT]
+    inst = build_instance(cells[0])
+    for spec, record in zip(cells, records):
+        own = sweep.run_solver(inst, "exact", seed=1, node_budget=spec.node_budget)
+        report = rf.parse_report((tmp_path / record["report_file"]).read_text(encoding="utf-8"))
+        assert (report.certificate, report.size, report.assignment) == (
+            own.certificate,
+            own.size,
+            own.assignment,
+        )
+
+
+def test_cell_id_names_a_budget_and_non_default_retries_only():
+    spec = CellSpec("random", 3, 6, "sample", 1)
+    assert spec.cell_id == "random-r3-n6-m6-seed1-sample-seed1"
+    assert CellSpec("random", 3, 6, "sample", 1, node_budget=0, retries=3).cell_id == (
+        "random-r3-n6-m6-seed1-sample-seed1-budget0-retries3"
+    )
 
 
 def test_run_sweep_never_overwrites_an_earlier_sweep(tmp_path):
@@ -145,11 +178,60 @@ def test_verify_report_fails_a_colour_out_of_range():
 
 
 def test_verify_report_fails_an_exact_re_solve_out_of_budget():
-    inst = rf.random_instance(3, 10, 10, seed=1)
+    # optimum 9, below the root bound: the proof from it takes 1,071 nodes
+    inst = rf.random_instance(4, 10, 10, seed=1)
     doc = sweep.run_solver(inst, "exact")
-    assert doc.certificate == rf.CERT_EXACT
+    assert (doc.certificate, doc.size) == (rf.CERT_EXACT, 9)
     checks = sweep.verify_report(inst, doc, node_budget=1)
     assert str(checks[-1]) == "FAIL: exact certificate reproducible (re-solve budget exhausted)"
+
+
+def _relabelled_exact(matching):
+    # a valid rainbow matching that claims to be a maximum
+    return rf.ReportDoc("exact", rf.CERT_EXACT, matching.size, matching)
+
+
+def test_verify_report_fails_a_sub_optimal_witness_on_the_search_path():
+    inst = rf.random_instance(3, 10, 10, seed=1)
+    witness = rf.greedy_rainbow(inst).matching
+    assert witness.size == 7
+    checks = sweep.verify_report(inst, _relabelled_exact(witness))
+    assert [c.ok for c in checks] == [True, True, False]
+    assert str(checks[-1]) == (
+        "FAIL: exact certificate reproducible (re-solved maximum 10 != recorded 7)"
+    )
+
+
+def test_verify_report_fails_a_sub_optimal_witness_on_the_component_path():
+    inst = rf.ach_instance(3, 16)
+    optimum = rf.exact_max_rainbow(inst).matching
+    witness = rf.RainbowMatching(optimum.assignment[:-1])
+    assert witness.size == 13
+    checks = sweep.verify_report(inst, _relabelled_exact(witness))
+    assert [c.ok for c in checks] == [True, True, False]
+    assert str(checks[-1]) == (
+        "FAIL: exact certificate reproducible (re-solved maximum 14 != recorded 13)"
+    )
+    # the 13-edge incumbent is below the root bound, so components solve it
+    assert "components" in rf.exact_max_rainbow(inst, incumbent=witness).stats.extra
+
+
+@pytest.mark.parametrize(
+    "inst", [rf.random_instance(3, 10, 10, seed=1), rf.ach_instance(3, 16)], ids=["random", "ach"]
+)
+def test_verify_report_proves_an_exact_optimum_from_its_witness(monkeypatch, inst):
+    doc = sweep.run_solver(inst, "exact")
+    calls = []
+    real = rf.solvers.local_search_rainbow
+    monkeypatch.setattr(
+        rf.solvers, "local_search_rainbow", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+
+    checks = sweep.verify_report(inst, doc)
+
+    assert all(c.ok for c in checks)
+    assert str(checks[-1]) == "ok: exact certificate reproducible"
+    assert calls == []
 
 
 def test_verify_report_scans_a_local_optimum_once(monkeypatch):
