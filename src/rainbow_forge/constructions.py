@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .bounds import _domain, nth_root_floor
-from .core import Edge, Instance, Matching, make_edge
+from .core import Edge, Instance, Matching, make_edge, map_runs
 from .solvers import exact_max_rainbow
 
 
@@ -107,7 +107,8 @@ def ach_instance(r: int, n: int) -> Instance:
             class_edges[idx].append(tuple(base + v for v in e))
             class_edges[idx].append(tuple(base + v for v in f))
     last = 2 ** (r - 1) - 1
-    matchings = tuple(tuple(class_edges[min(i, last)]) for i in range(n))
+    class_tuples = [tuple(es) for es in class_edges]
+    matchings = tuple(class_tuples[min(i, last)] for i in range(n))
     return Instance(
         r=r,
         matchings=matchings,
@@ -209,7 +210,7 @@ def dummy_lift(inst: Instance, m: int) -> Instance:
     dummies = tuple(
         tuple(range(base + k * inst.r, base + (k + 1) * inst.r)) for k in range(m)
     )
-    matchings = tuple(mt + dummies for mt in inst.matchings)
+    matchings = map_runs(lambda mt: mt + dummies, inst.matchings)
     partition = inst.partition
     if partition is not None:
         partition = partition + tuple(range(inst.r)) * m
@@ -303,7 +304,7 @@ def _gadget_family(r: int, n: int) -> Instance:
 
 def _truncate_family(inst: Instance, n: int, t: int) -> Instance:
     """First n matchings, each cut to its first t edges."""
-    matchings = tuple(m[:t] for m in inst.matchings[:n])
+    matchings = map_runs(lambda m: m[:t], inst.matchings[:n])
     return Instance(
         r=inst.r,
         matchings=matchings,

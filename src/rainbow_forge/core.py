@@ -19,6 +19,20 @@ order inside an edge is kept as given and repeated edges are kept, so
 :func:`validate_instance` still reports them.  It checks the
 combinatorial invariants and reports violations as data instead of
 raising, so malformed inputs can be inspected.
+
+Colours may share one matching object: the paper's families repeat a
+few colour classes many times, the generators build each class once
+and give its colours consecutive indices, and ``parse_instance`` loads
+equal consecutive matchings as one tuple.  Per-matching work is done
+once per run of consecutive colours holding one object, which for these
+families is once per distinct matching: the constructor checks and
+copies it once (the colours still share the stored object),
+:func:`validate_instance` checks a valid one once, and
+:func:`is_rainbow_matching` builds at most one edge set for it.
+``serialize_instance`` and the exact solver's colour-class table do
+their per-matching work once per run too; each of these remembers only
+the previous matching.  ``Instance.vertices`` walks each distinct
+object once.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import index, le, lt
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
 Edge = tuple[int, ...]
@@ -56,6 +70,23 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
+def map_runs(f: Callable[[Matching], Matching], matchings: Iterable[Matching]) -> tuple[Matching, ...]:
+    """``f(m)`` for every matching ``m``, called once per run of
+    consecutive colours holding the same object, which share the result."""
+    out = []
+    previous = result = None
+    for m in matchings:
+        if m is not previous:
+            previous, result = m, f(m)
+        out.append(result)
+    return tuple(out)
+
+
+def _canonical(m: Matching) -> Matching:
+    """``m`` when it is canonical, else its sorted copy of exact ints."""
+    return m if _is_canonical(m) else tuple(tuple(map(index, e)) for e in sorted(m))
+
+
 def _is_canonical(m: Matching) -> bool:
     """True when the constructor would store ``m`` as it is: a tuple in
     lexicographic order of tuples of exact ints.  Order is tested first,
@@ -83,7 +114,9 @@ class Instance:
     given as a tuple already in that order, of tuples of ``int`` (not
     ``bool`` or another subclass), is stored as the same object; any
     other is copied, its edges sorted before they are copied so that
-    the copies lie in memory in sorted order.
+    the copies lie in memory in sorted order.  Consecutive colours that
+    hold the same object have it checked and copied once, and share the
+    stored one.
     """
 
     r: int
@@ -92,14 +125,7 @@ class Instance:
     meta: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "matchings",
-            tuple(
-                m if _is_canonical(m) else tuple(tuple(map(index, e)) for e in sorted(m))
-                for m in self.matchings
-            ),
-        )
+        object.__setattr__(self, "matchings", map_runs(_canonical, self.matchings))
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(map(index, self.partition)))
         object.__setattr__(self, "meta", {str(k): str(v) for k, v in dict(self.meta).items()})
@@ -110,7 +136,8 @@ class Instance:
         return len(self.matchings)
 
     def vertices(self) -> set[int]:
-        return {v for m in self.matchings for e in m for v in e}
+        distinct = {id(m): m for m in self.matchings}.values()
+        return set(chain.from_iterable(chain.from_iterable(distinct)))
 
     def vertex_count(self) -> int:
         """Vertices are allocated densely from 0; the count is the
@@ -193,6 +220,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     vertices, vertex order column by column, and part sums) with C-level
     builtins; only a matching that fails goes through the per-edge pass,
     which is the only code that reports its violations, in edge order.
+    A valid matching object that consecutive colours share is checked
+    once; an invalid one is reported under every colour holding it.
     """
     out: list[Violation] = []
     r = inst.r
@@ -209,9 +238,13 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(
                         Violation("partition-part", f"vertex {v} assigned part {p}, expected 0..{r - 1}")
                     )
+    last_valid = None  # the last matching object found valid
     for j, matching in enumerate(inst.matchings):
+        if matching is last_valid:
+            continue
         # with a part out of range only the per-edge pass tells which edges it spoils
         if (part is None or bits is not None) and _matching_is_valid(matching, r, bits):
+            last_valid = matching
             continue
         owner: dict[int, int] = {}
         for k, e in enumerate(matching):
@@ -255,6 +288,9 @@ def is_rainbow_matching(inst: Instance, rm: RainbowMatching) -> bool:
     Checks colour injectivity, membership of each edge in the matching
     of its colour, and pairwise vertex-disjointness.  A colour index
     outside ``range(inst.n)`` is an input error and raises ValueError.
+    Membership is tested by a scan for the first of consecutive assigned
+    colours holding one matching object, and in one set, built once, for
+    the others.
     """
     n = inst.n
     for colour, _ in rm.assignment:
@@ -263,11 +299,16 @@ def is_rainbow_matching(inst: Instance, rm: RainbowMatching) -> bool:
     colours = rm.colours()
     if len(set(colours)) != len(colours):
         return False
+    previous: Matching | None = None
+    edges: Matching | set[Edge] = ()  # previous, or its set from the second colour on
     seen: set[int] = set()
     for colour, e in rm.assignment:
-        if e not in inst.matchings[colour]:
-            return False
-        if any(v in seen for v in e):
+        m = inst.matchings[colour]
+        if m is not previous:
+            previous = edges = m
+        elif edges is m:
+            edges = set(m)
+        if e not in edges or any(v in seen for v in e):
             return False
         seen.update(e)
     return True

@@ -22,6 +22,16 @@ edges.  Every other line, and a run holding an id that ``int`` rejects,
 goes through the line loop, which gives every ``ParseError`` its text
 and line.  The format is the same either way.
 
+Equal consecutive matchings load as one tuple.  A block that starts
+with the text of the previous block, when that block was one bulk run,
+reuses its edges without reading their ids (a further edge line then
+gives the block its own copy); any other block equal to the previous
+one is replaced by it once read.  The serializer renders a matching
+once and repeats its lines while the next colour holds the same object.
+Both remember only the previous matching, so colour classes repeated
+many times, as the paper's families repeat them, are read, checked and
+written once each.
+
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
 report's certificate is one of :data:`CERTIFICATES`, and a ``failure``
@@ -35,7 +45,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .core import Instance, RainbowMatching, Violation, validate_instance
+from .core import Instance, Matching, RainbowMatching, Violation, validate_instance
 from .solvers import CERT_EXACT, CERT_HEURISTIC, CERT_LOCAL
 
 FORMAT_VERSION = "rainbow-forge/1"
@@ -77,8 +87,14 @@ def serialize_instance(inst: Instance) -> str:
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
     edge_line = ("  " + " ".join(["%d"] * inst.r)).__mod__
+    previous: Matching | None = None
+    start = 0  # where the edge lines of ``previous`` begin in ``lines``
     for i, matching in enumerate(inst.matchings):
         lines.append(f"matching {i}")
+        if matching is previous:
+            lines.extend(lines[start : start + len(matching)])
+            continue
+        start, previous = len(lines), matching
         try:
             lines.extend(map(edge_line, matching))
         except TypeError:
@@ -125,10 +141,22 @@ def parse_instance(text: str) -> Instance:
     lineno = 0
     pos, end = 0, len(text)
     run_pattern: re.Pattern[str] | None = None  # set by a matching line
+    # the text and line count of the last matching while its edge lines
+    # are one bulk run, which the next matching shares if it repeats it
+    last_run: str | None = None
+    last_lines = 0
     while pos < end:
         if run_pattern is not None:
-            run = run_pattern.match(text, pos)
-            run_pattern = None
+            pattern, run_pattern = run_pattern, None
+            if last_run is not None and text.startswith(last_run, pos):
+                # the last matching's edges again; any edge line after
+                # them goes through the line loop, which unshares them
+                current = matchings[-1] = matchings[-2]
+                lineno += last_lines
+                pos += len(last_run)
+                continue
+            last_run = None
+            run = pattern.match(text, pos)
             if run is not None:
                 block = run.group()
                 try:
@@ -137,7 +165,8 @@ def parse_instance(text: str) -> Instance:
                     pass  # an id past int's digit limit: the line loop reports it
                 else:
                     current.extend(edges)
-                    lineno += block.count("\n")
+                    last_run, last_lines = block, block.count("\n")
+                    lineno += last_lines
                     pos = run.end()
                     continue
         line = _LINE.match(text, pos)
@@ -170,6 +199,11 @@ def parse_instance(text: str) -> Instance:
                     f"expected {r} vertices, got {len(vertices)}",
                     lineno,
                 )
+            if last_run is not None:
+                # the matching grows past its run: unshare it first
+                last_run = None
+                if len(matchings) > 1 and current is matchings[-2]:
+                    current = matchings[-1] = current.copy()
             current.append(vertices)
         elif head == "r":
             if r is not None:
@@ -218,12 +252,12 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(
             f"declared n {declared_n} but found {len(matchings)} matchings", lineno
         )
-    inst = Instance(
-        r=r,
-        matchings=tuple(tuple(m) for m in matchings),
-        partition=partition,
-        meta=meta,
-    )
+    shared: list[Matching] = []  # equal consecutive matchings as one tuple
+    previous: list[tuple[int, ...]] | None = None
+    for m in matchings:
+        shared.append(shared[-1] if m is previous or m == previous else tuple(m))
+        previous = m
+    inst = Instance(r=r, matchings=tuple(shared), partition=partition, meta=meta)
     report = validate_instance(inst)
     if report:
         raise InstanceValidationError(report)

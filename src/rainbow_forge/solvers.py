@@ -218,10 +218,14 @@ class _Table:
             return x
 
         # colours with identical edge sets, grouped, each edge with its
-        # bitmask over the dense ids; in order of their lowest member
+        # bitmask over the dense ids; in order of their lowest member.
+        # Consecutive colours holding one matching object hash it once
         groups: dict[Matching, list[int]] = {}
+        previous: Matching | None = None
         for colour, es in enumerate(inst.matchings):
-            groups.setdefault(es, []).append(colour)
+            if es is not previous:
+                previous, members = es, groups.setdefault(es, [])
+            members.append(colour)
         bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
         self.classes: list[_ColourClass] = []
         for es, members in groups.items():

@@ -29,24 +29,61 @@ def blowup() -> rf.Instance:
     return rf.blowup_compose([part, part, part])
 
 
-@pytest.mark.parametrize(
-    "build, optimum",
-    [
-        (lambda: rf.ach_instance(4, 10), 6),
-        (lambda: rf.ach_instance(4, 12), 8),
-        (lambda: rf.ach_instance(3, 64), 62),
-        (lambda: rf.k4_union_instance(41), 40),
-        (lambda: rf.cycle_instance(200), 199),
-        (lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2), 6),
-        (blowup, 3),
-    ],
-)
+PAPER_CONSTRUCTIONS = [
+    (lambda: rf.ach_instance(4, 10), 6),
+    (lambda: rf.ach_instance(4, 12), 8),
+    (lambda: rf.ach_instance(3, 64), 62),
+    (lambda: rf.k4_union_instance(41), 40),
+    (lambda: rf.cycle_instance(200), 199),
+    (lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2), 6),
+    (blowup, 3),
+]
+
+
+@pytest.mark.parametrize("build, optimum", PAPER_CONSTRUCTIONS)
 def test_exact_matches_ilp_on_paper_constructions(build, optimum):
     inst = build()
     rep = rf.exact_max_rainbow(inst)
     assert rep.certificate == rf.CERT_EXACT
     assert rep.size == optimum == ilp_max_rainbow(inst)
     assert rf.is_rainbow_matching(inst, rep.matching)
+
+
+@pytest.mark.parametrize("build, optimum", PAPER_CONSTRUCTIONS)
+def test_shared_matching_objects_do_not_change_exact_results(build, optimum):
+    # as built (repeated classes share one object), read back from its
+    # text (equal consecutive matchings share one tuple), and with every
+    # colour its own copy: the same table, search and witness
+    inst = build()
+    reread = rf.parse_instance(rf.serialize_instance(inst))
+    unshared = rf.Instance(inst.r, tuple(tuple([*m]) for m in inst.matchings), inst.partition, inst.meta)
+    assert len({id(m) for m in unshared.matchings}) == inst.n
+    assert reread == unshared == inst
+    results = [
+        (rep.size, rep.matching, rep.certificate, rep.stats.nodes)
+        for rep in map(rf.exact_max_rainbow, (inst, reread, unshared))
+    ]
+    assert results == [results[0]] * 3
+    assert results[0][0] == optimum and results[0][2] == rf.CERT_EXACT
+
+
+def test_equal_matchings_of_different_objects_form_one_class():
+    # colours 0 and 2 share an object, colours 1 and 3 hold equal copies:
+    # one class with members in colour order, as when every colour has
+    # its own copy; from an empty incumbent the search builds the witness
+    base = rf.cycle_instance(5)
+    even, odd = base.matchings[0], base.matchings[-1]
+    mixed = rf.Instance(2, (even, tuple([*even]), even, tuple([*even]), odd))
+    unshared = rf.Instance(2, tuple(tuple([*m]) for m in mixed.matchings))
+    got, want = (rf.exact_max_rainbow(i, incumbent=rf.RainbowMatching()) for i in (mixed, unshared))
+    assert (got.matching, got.stats.nodes) == (want.matching, want.stats.nodes)
+    assert got.size == 4
+
+
+def test_reading_a_cycle_family_keeps_its_two_classes():
+    inst = rf.parse_instance(rf.serialize_instance(rf.cycle_instance(300)))
+    assert len({id(m) for m in inst.matchings}) == 2
+    assert all(m is inst.matchings[0] for m in inst.matchings[:-1])
 
 
 @pytest.mark.parametrize("r, n", [(4, 16), (5, 16), (5, 32), (6, 64)])

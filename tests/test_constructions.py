@@ -49,6 +49,24 @@ def test_ach_repeats_last_class():
     assert len({inst.matchings[i] for i in range(4)}) == 4
 
 
+@pytest.mark.parametrize(
+    "build, classes",
+    [
+        (lambda: rf.cycle_instance(6), 2),
+        (lambda: rf.k4_union_instance(7), 3),
+        (lambda: rf.ach_instance(3, 8), 4),
+        (lambda: rf.ach_instance(4, 12), 8),
+        (lambda: rf.dummy_lift(rf.ach_instance(3, 8), 2), 4),
+        (lambda: rf.dummy_lift(rf.cycle_instance(5), 1), 2),
+    ],
+)
+def test_repeated_colours_share_one_matching_object(build, classes):
+    inst = build()
+    assert len({id(m) for m in inst.matchings}) == classes
+    for m, following in zip(inst.matchings, inst.matchings[1:]):
+        assert (m is following) == (m == following)
+
+
 def test_ach_single_gadget_copy_blocks_at_two():
     # each copy alone admits only a single rainbow edge
     inst = rf.ach_instance(3, 4)

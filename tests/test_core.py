@@ -86,6 +86,16 @@ def test_membership_and_disjointness_checked():
     )
 
 
+def test_membership_checked_for_colours_sharing_a_matching():
+    inst = rf.cycle_instance(4)  # colours 0 to 2 share one matching object
+    assert inst.matchings[0] is inst.matchings[2]
+    # the first colour scans the matching, the later ones test its set
+    assert rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (1, (2, 3)), (2, (4, 5)))))
+    assert not rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (2, (5, 6)))))
+    assert not rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (1, (2, 3)), (2, (5, 6)))))
+    assert not rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (1, (0, 1)))))
+
+
 def test_vertex_count_and_min_size():
     inst = rf.ach_instance(3, 4)
     assert inst.vertex_count() == 12
@@ -110,6 +120,15 @@ def test_constructor_keeps_a_canonical_matching():
     inst = rf.Instance(r=2, matchings=(m, ()))
     assert inst.matchings[0] is m
     assert inst.matchings[1] == ()
+
+
+def test_constructor_copies_a_shared_matching_once():
+    m = ((2, 3), (0, 1))  # not in sorted order, so it is copied
+    inst = rf.Instance(r=2, matchings=(m, m, ((4, 5),), m))
+    assert inst.matchings[0] == ((0, 1), (2, 3))
+    assert inst.matchings[0] is inst.matchings[1]
+    # a later run of the same object is copied again, to an equal tuple
+    assert inst.matchings[3] == inst.matchings[0]
 
 
 class _Int(int):

@@ -1,10 +1,12 @@
 """The fast instance checks and parser against their per-vertex references.
 
-Valid families (r 0..5, partitioned or not) are corrupted in every way a
-violation code or a parse error covers, and ``validate_instance`` and
-``parse_instance`` must agree with ``io_reference`` on the result: equal
-violation lists in equal order, equal ``ParseError`` text and line, and
-equal instances.
+Valid families (r 0..5, partitioned or not, some with a matching repeated
+right after itself) are corrupted in every way a violation code or a
+parse error covers, and ``validate_instance`` and ``parse_instance``
+must agree with ``io_reference`` on the result: equal violation lists in
+equal order, equal ``ParseError`` text and line, and equal instances.
+The reference checks and reads every copy of a repeated matching; the
+package checks a valid shared one and reads a repeated block once.
 """
 
 from __future__ import annotations
@@ -101,11 +103,13 @@ CORRUPTIONS = (
 
 @st.composite
 def families(draw):
-    """(r, matchings, partition): a valid family, then 0 to 3 corruptions.
+    """(r, matchings, partition): a valid family, maybe one matching
+    repeated right after itself, then 0 to 3 corruptions.
 
     Part ``p`` holds the vertices ``relabel[q * r + p]``, and the edges of
     a matching take distinct vertices from every part, so the family is
-    valid before it is corrupted.
+    valid before it is corrupted.  The repeat is a copy, so a corruption
+    can hit one of the two alone.
     """
     rnd = draw(st.randoms(use_true_random=False))
     r = draw(st.integers(0, 5))
@@ -121,13 +125,22 @@ def families(draw):
         matchings.append([sorted(relabel[rows[p][i] * r + p] for p in range(r)) for i in range(k)])
     if not draw(st.booleans()):
         part = None
+    if matchings and draw(st.booleans()):
+        i = rnd.randrange(len(matchings))
+        matchings.insert(i + 1, [list(e) for e in matchings[i]])
     for _ in range(draw(st.integers(0, 3))):
         rnd.choice(CORRUPTIONS)(rnd, r, matchings, part)
     return r, matchings, part
 
 
 def _instance(r, matchings, part) -> rf.Instance:
-    return rf.Instance(r=r, matchings=tuple(tuple(map(tuple, m)) for m in matchings), partition=part)
+    """The family as an instance whose equal consecutive matchings are
+    one object, as ``parse_instance`` loads them."""
+    shared: list[tuple] = []
+    for m in matchings:
+        m = tuple(map(tuple, m))
+        shared.append(shared[-1] if shared and shared[-1] == m else m)
+    return rf.Instance(r=r, matchings=tuple(shared), partition=part)
 
 
 @settings(max_examples=400, deadline=None)
@@ -145,6 +158,20 @@ def test_validate_instance_matches_reference(family):
         assert all(inst.matchings[v.matching][v.edge] for v in got[1:])
         return
     assert rf.validate_instance(inst) == expected
+
+
+def test_validate_instance_reports_a_shared_invalid_matching_under_every_colour():
+    bad = ((0, 1), (1, 2))  # edges 0 and 1 share vertex 1
+    inst = rf.Instance(r=2, matchings=(bad, ((4, 5),), bad))
+    unshared = rf.Instance(r=2, matchings=(bad, ((4, 5),), tuple([*bad])))
+    assert inst.matchings[0] is inst.matchings[2]
+    assert unshared.matchings[0] is not unshared.matchings[2]
+    got = rf.validate_instance(inst)
+    assert got == io_reference.validate_instance(unshared)
+    assert [(v.code, v.matching, v.edge) for v in got] == [
+        ("intra-matching intersection", 0, 1),
+        ("intra-matching intersection", 2, 1),
+    ]
 
 
 def _text(rnd: random.Random, r, matchings, part) -> str:
@@ -203,6 +230,13 @@ _BLOCKS = (
     "matching 1\n  0 4 8\n  1 5 6\n"
     "matching 2\n  1 2 3\n  4 5 6\n"
 )
+# three equal blocks: matching 1 repeats matching 0's block and is read
+# as the same edges; the cases below give matching 2 a tail, drop its
+# last line or final newline, or make matching 1 a block the bulk path
+# cannot read
+_REPEATED = "rainbow-forge/1\nr 3\nn 3\n" + "".join(
+    f"matching {i}\n  0 1 2\n  3 4 5\n" for i in range(3)
+)
 _BOUNDARY_CASES = {
     "comment": _BLOCKS + "# 7 8 9\n  7 8 9\n",
     "tab-indented": _BLOCKS + "\t7 8 9\n  10 11 12\n",
@@ -218,6 +252,25 @@ _BOUNDARY_CASES = {
     "wrong-arity": _BLOCKS + "  7 8 9 10\n",
     "header-after-matchings": _BLOCKS + "meta note late\n",
     "edge-after-header": _BLOCKS + "meta note late\n  7 8 9\n",
+    "repeated-block": _REPEATED,
+    "repeated-block-plus-comment": _REPEATED + "# 6 7 8\n",
+    "repeated-block-plus-edge": _REPEATED + "  6 7 8\n",
+    "repeated-block-comment-then-edge": _REPEATED + "# note\n  6 7 8\n",
+    "repeated-block-blank-then-edge": _REPEATED + "\n  6 7 8\n",
+    "repeated-block-plus-wrong-arity": _REPEATED + "  6 7 8 9\n",
+    "repeated-block-plus-intersecting-edge": _REPEATED + "# note\n  5 6 7\n",
+    "repeated-block-one-line-shorter": _REPEATED.removesuffix("  3 4 5\n"),
+    "repeated-block-no-final-newline": _REPEATED.removesuffix("\n"),
+    "repeated-block-then-header": (
+        _REPEATED.replace("matching 2\n", "meta note x\nmatching 2\n") + "  6 7 8\n"
+    ),
+    "empty-block-between-repeats": _REPEATED.replace("matching 1\n  0 1 2\n  3 4 5\n", "matching 1\n"),
+    "tab-block-between-repeats": _REPEATED.replace(
+        "matching 1\n  0 1 2\n  3 4 5\n", "matching 1\n\t0 1 2\n\t3 4 5\n"
+    ),
+    "5000-digit-id-between-repeats": _REPEATED.replace(
+        "matching 1\n  0 1 2\n  3 4 5\n", "matching 1\n  0 1 2\n  3 4 " + "5" * 5000 + "\n"
+    ),
 }
 
 
@@ -233,6 +286,24 @@ def test_wrong_arity_after_bulk_blocks_names_its_line():
         "line 13: edge 2 of matching 2: expected 3 vertices, got 4",
         13,
     )
+
+
+@pytest.mark.parametrize(
+    "name, distinct",
+    [
+        ("repeated-block", 1),
+        ("repeated-block-plus-comment", 1),
+        ("repeated-block-plus-edge", 2),
+        ("repeated-block-comment-then-edge", 2),
+        ("repeated-block-one-line-shorter", 2),
+        ("repeated-block-no-final-newline", 1),
+        ("tab-block-between-repeats", 1),
+    ],
+)
+def test_equal_consecutive_blocks_load_as_one_matching(name, distinct):
+    inst = rf.parse_instance(_BOUNDARY_CASES[name])
+    assert len({id(m) for m in inst.matchings}) == distinct
+    assert inst.matchings[0] is inst.matchings[1]
 
 
 def test_shared_skips_a_matching_with_no_other_non_empty_edge():
