@@ -210,7 +210,7 @@ def dummy_lift(inst: Instance, m: int) -> Instance:
     dummies = tuple(
         tuple(range(base + k * inst.r, base + (k + 1) * inst.r)) for k in range(m)
     )
-    matchings = map_runs(lambda mt: mt + dummies, inst.matchings)
+    matchings = map_runs(lambda mt: mt + dummies, inst.runs)
     partition = inst.partition
     if partition is not None:
         partition = partition + tuple(range(inst.r)) * m
@@ -304,7 +304,7 @@ def _gadget_family(r: int, n: int) -> Instance:
 
 def _truncate_family(inst: Instance, n: int, t: int) -> Instance:
     """First n matchings, each cut to its first t edges."""
-    matchings = map_runs(lambda m: m[:t], inst.matchings[:n])
+    matchings = map_runs(lambda m: m[:t], inst.runs)[:n]
     return Instance(
         r=inst.r,
         matchings=matchings,

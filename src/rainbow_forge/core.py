@@ -23,29 +23,29 @@ raising, so malformed inputs can be inspected.
 Colours may share one matching object: the paper's families repeat a
 few colour classes many times, the generators build each class once
 and give its colours consecutive indices, and ``parse_instance`` loads
-equal consecutive matchings as one tuple.  Per-matching work is done
-once per run of consecutive colours holding one object, which for these
-families is once per distinct matching: the constructor checks and
-copies it once (the colours still share the stored object),
-:func:`validate_instance` checks a valid one once, and
-:func:`is_rainbow_matching` builds at most one edge set for it.
-``serialize_instance`` and the exact solver's colour-class table do
-their per-matching work once per run too; each of these remembers only
-the previous matching.  ``Instance.vertices`` walks each distinct
-object once.
+equal consecutive matchings as one tuple.  ``Instance.runs`` records,
+once, each maximal run of consecutive colours holding one object as
+``(matching, range of colours)``.  Per-matching work reads it and is
+done once per run, which for these families is once per distinct
+matching: the constructor's check and copy, :func:`map_runs`,
+:func:`validate_instance` on a valid matching, ``serialize_instance``'s
+edge lines and the exact solver's colour-class table.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from operator import index, le, lt
+from itertools import chain, compress, islice, repeat
+from operator import index, is_not, itemgetter, le, lt
 from typing import Callable, Iterable, Mapping
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
 Edge = tuple[int, ...]
 # A matching is a tuple of pairwise vertex-disjoint edges.
 Matching = tuple[Edge, ...]
+# A maximal run of consecutive colours holding one matching object.
+Run = tuple[Matching, range]
 
 
 def make_edge(vertices: Iterable[int]) -> Edge:
@@ -70,16 +70,11 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
-def map_runs(f: Callable[[Matching], Matching], matchings: Iterable[Matching]) -> tuple[Matching, ...]:
-    """``f(m)`` for every matching ``m``, called once per run of
-    consecutive colours holding the same object, which share the result."""
-    out = []
-    previous = result = None
-    for m in matchings:
-        if m is not previous:
-            previous, result = m, f(m)
-        out.append(result)
-    return tuple(out)
+def map_runs(f: Callable[[Matching], Matching], runs: Iterable[Run]) -> tuple[Matching, ...]:
+    """The matchings of the colours of ``runs`` in order: ``f(m)`` for the
+    object ``m`` of each run, called once per run and shared by its
+    colours."""
+    return tuple(chain.from_iterable(repeat(f(m), len(colours)) for m, colours in runs))
 
 
 def _canonical(m: Matching) -> Matching:
@@ -117,15 +112,28 @@ class Instance:
     the copies lie in memory in sorted order.  Consecutive colours that
     hold the same object have it checked and copied once, and share the
     stored one.
+
+    ``runs`` is derived, not a parameter: ``(matching, colours)`` for
+    each maximal run of consecutive colours holding one stored object,
+    in colour order, so the ranges cover ``range(n)`` and adjacent runs
+    hold different objects.  It takes no part in equality or the repr.
     """
 
     r: int
     matchings: tuple[Matching, ...]
     partition: tuple[int, ...] | None = None
     meta: Mapping[str, str] = field(default_factory=dict)
+    runs: tuple[Run, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matchings", map_runs(_canonical, self.matchings))
+        given = tuple(self.matchings)
+        # a run starts at each colour whose object is not the previous
+        # colour's (colour 0 is compared with a fresh object)
+        starts = list(compress(range(len(given)), map(is_not, given, (object(), *given))))
+        colours = map(range, starts, [*starts[1:], len(given)])
+        runs = tuple(zip(map(_canonical, map(given.__getitem__, starts)), colours))
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "matchings", map_runs(lambda m: m, runs))
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(map(index, self.partition)))
         object.__setattr__(self, "meta", {str(k): str(v) for k, v in dict(self.meta).items()})
@@ -136,8 +144,7 @@ class Instance:
         return len(self.matchings)
 
     def vertices(self) -> set[int]:
-        distinct = {id(m): m for m in self.matchings}.values()
-        return set(chain.from_iterable(chain.from_iterable(distinct)))
+        return set(chain.from_iterable(chain.from_iterable(map(itemgetter(0), self.runs))))
 
     def vertex_count(self) -> int:
         """Vertices are allocated densely from 0; the count is the
@@ -220,8 +227,8 @@ def validate_instance(inst: Instance) -> list[Violation]:
     vertices, vertex order column by column, and part sums) with C-level
     builtins; only a matching that fails goes through the per-edge pass,
     which is the only code that reports its violations, in edge order.
-    A valid matching object that consecutive colours share is checked
-    once; an invalid one is reported under every colour holding it.
+    The whole-matching check runs once per run of ``inst.runs``; an
+    invalid matching is reported under every colour of its run.
     """
     out: list[Violation] = []
     r = inst.r
@@ -238,47 +245,44 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(
                         Violation("partition-part", f"vertex {v} assigned part {p}, expected 0..{r - 1}")
                     )
-    last_valid = None  # the last matching object found valid
-    for j, matching in enumerate(inst.matchings):
-        if matching is last_valid:
-            continue
+    for matching, colours in inst.runs:
         # with a part out of range only the per-edge pass tells which edges it spoils
         if (part is None or bits is not None) and _matching_is_valid(matching, r, bits):
-            last_valid = matching
             continue
-        owner: dict[int, int] = {}
-        for k, e in enumerate(matching):
-            if len(e) != r:
-                out.append(
-                    Violation("edge-arity", f"edge has {len(e)} vertices, expected {r}", j, k)
-                )
-                continue
-            if (e and e[0] < 0) or any(a >= b for a, b in zip(e, e[1:])):
-                out.append(
-                    Violation("edge-vertices", "vertices must be non-negative and strictly increasing", j, k)
-                )
-                continue
-            shared = next((v for v in e if v in owner), None)
-            if shared is not None:
-                out.append(
-                    Violation(
-                        "intra-matching intersection",
-                        f"edges {owner[shared]} and {k} share vertex {shared}",
-                        j,
-                        k,
-                    )
-                )
-            for v in e:
-                owner.setdefault(v, k)
-            if part is not None:
-                if any(v >= len(part) for v in e):
+        for j in colours:
+            owner: dict[int, int] = {}
+            for k, e in enumerate(matching):
+                if len(e) != r:
                     out.append(
-                        Violation("partition-coverage", "edge uses a vertex missing from the partition", j, k)
+                        Violation("edge-arity", f"edge has {len(e)} vertices, expected {r}", j, k)
                     )
-                elif sorted(part[v] for v in e) != list(range(r)):
+                    continue
+                if (e and e[0] < 0) or any(a >= b for a, b in zip(e, e[1:])):
                     out.append(
-                        Violation("partition-edge", "edge must meet every part exactly once", j, k)
+                        Violation("edge-vertices", "vertices must be non-negative and strictly increasing", j, k)
                     )
+                    continue
+                shared = next((v for v in e if v in owner), None)
+                if shared is not None:
+                    out.append(
+                        Violation(
+                            "intra-matching intersection",
+                            f"edges {owner[shared]} and {k} share vertex {shared}",
+                            j,
+                            k,
+                        )
+                    )
+                for v in e:
+                    owner.setdefault(v, k)
+                if part is not None:
+                    if any(v >= len(part) for v in e):
+                        out.append(
+                            Violation("partition-coverage", "edge uses a vertex missing from the partition", j, k)
+                        )
+                    elif sorted(part[v] for v in e) != list(range(r)):
+                        out.append(
+                            Violation("partition-edge", "edge must meet every part exactly once", j, k)
+                        )
     return out
 
 
@@ -288,9 +292,8 @@ def is_rainbow_matching(inst: Instance, rm: RainbowMatching) -> bool:
     Checks colour injectivity, membership of each edge in the matching
     of its colour, and pairwise vertex-disjointness.  A colour index
     outside ``range(inst.n)`` is an input error and raises ValueError.
-    Membership is tested by a scan for the first of consecutive assigned
-    colours holding one matching object, and in one set, built once, for
-    the others.
+    Membership is a binary search in the matching, whose edges the
+    constructor keeps in lexicographic order.
     """
     n = inst.n
     for colour, _ in rm.assignment:
@@ -299,16 +302,11 @@ def is_rainbow_matching(inst: Instance, rm: RainbowMatching) -> bool:
     colours = rm.colours()
     if len(set(colours)) != len(colours):
         return False
-    previous: Matching | None = None
-    edges: Matching | set[Edge] = ()  # previous, or its set from the second colour on
     seen: set[int] = set()
     for colour, e in rm.assignment:
         m = inst.matchings[colour]
-        if m is not previous:
-            previous = edges = m
-        elif edges is m:
-            edges = set(m)
-        if e not in edges or any(v in seen for v in e):
+        i = bisect_left(m, e)
+        if i == len(m) or m[i] != e or any(v in seen for v in e):
             return False
         seen.update(e)
     return True

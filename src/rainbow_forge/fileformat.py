@@ -22,15 +22,11 @@ edges.  Every other line, and a run holding an id that ``int`` rejects,
 goes through the line loop, which gives every ``ParseError`` its text
 and line.  The format is the same either way.
 
-Equal consecutive matchings load as one tuple.  A block that starts
-with the text of the previous block, when that block was one bulk run,
-reuses its edges without reading their ids (a further edge line then
-gives the block its own copy); any other block equal to the previous
-one is replaced by it once read.  The serializer renders a matching
-once and repeats its lines while the next colour holds the same object.
-Both remember only the previous matching, so colour classes repeated
-many times, as the paper's families repeat them, are read, checked and
-written once each.
+Equal consecutive matchings load as one tuple.  A block that is
+exactly the text of the previous block, when that block was one bulk
+run, reuses its edges without reading their ids; any other block equal
+to the previous one is replaced by it once read.  The serializer
+renders the edge lines of each run of ``Instance.runs`` once.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
@@ -43,6 +39,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable
 
 from .core import Instance, Matching, RainbowMatching, Violation, validate_instance
@@ -87,20 +85,16 @@ def serialize_instance(inst: Instance) -> str:
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
     edge_line = ("  " + " ".join(["%d"] * inst.r)).__mod__
-    previous: Matching | None = None
-    start = 0  # where the edge lines of ``previous`` begin in ``lines``
-    for i, matching in enumerate(inst.matchings):
-        lines.append(f"matching {i}")
-        if matching is previous:
-            lines.extend(lines[start : start + len(matching)])
-            continue
-        start, previous = len(lines), matching
+    for matching, colours in inst.runs:
         try:
-            lines.extend(map(edge_line, matching))
+            block = list(map(edge_line, matching))
         except TypeError:
             raise ValueError(
-                f"matching {i} has an edge of other than {inst.r} vertices, not representable"
+                f"matching {colours[0]} has an edge of other than {inst.r} vertices, not representable"
             ) from None
+        for i in colours:
+            lines.append(f"matching {i}")
+            lines.extend(block)
     return "\n".join(lines) + "\n"
 
 
@@ -141,16 +135,20 @@ def parse_instance(text: str) -> Instance:
     lineno = 0
     pos, end = 0, len(text)
     run_pattern: re.Pattern[str] | None = None  # set by a matching line
-    # the text and line count of the last matching while its edge lines
-    # are one bulk run, which the next matching shares if it repeats it
+    # the text and line count of the last matching when its block is one
+    # bulk run and nothing else; the next matching shares its edges when
+    # its block is that text and nothing else, so a shared list is never
+    # appended to
     last_run: str | None = None
     last_lines = 0
+
+    def block_ends(at: int) -> bool:
+        return at == end or text.startswith("matching ", at)
+
     while pos < end:
         if run_pattern is not None:
             pattern, run_pattern = run_pattern, None
-            if last_run is not None and text.startswith(last_run, pos):
-                # the last matching's edges again; any edge line after
-                # them goes through the line loop, which unshares them
+            if last_run is not None and text.startswith(last_run, pos) and block_ends(pos + len(last_run)):
                 current = matchings[-1] = matchings[-2]
                 lineno += last_lines
                 pos += len(last_run)
@@ -165,9 +163,11 @@ def parse_instance(text: str) -> Instance:
                     pass  # an id past int's digit limit: the line loop reports it
                 else:
                     current.extend(edges)
-                    last_run, last_lines = block, block.count("\n")
-                    lineno += last_lines
+                    newlines = block.count("\n")
+                    lineno += newlines
                     pos = run.end()
+                    if block_ends(pos):
+                        last_run, last_lines = block, newlines
                     continue
         line = _LINE.match(text, pos)
         raw = line.group(1)
@@ -199,11 +199,6 @@ def parse_instance(text: str) -> Instance:
                     f"expected {r} vertices, got {len(vertices)}",
                     lineno,
                 )
-            if last_run is not None:
-                # the matching grows past its run: unshare it first
-                last_run = None
-                if len(matchings) > 1 and current is matchings[-2]:
-                    current = matchings[-1] = current.copy()
             current.append(vertices)
         elif head == "r":
             if r is not None:
@@ -309,6 +304,17 @@ def _int(value: Any) -> int:
     return value
 
 
+def _assignment(pairs: Any) -> RainbowMatching:
+    """The ``[[colour, [vertex, ...]], ...]`` pairs as a rainbow matching;
+    a colour or vertex that is not an int, a float or a bool included,
+    is a ValueError, found in one pass over the types."""
+    pairs = [(c, tuple(e)) for c, e in pairs]
+    ids = chain(map(itemgetter(0), pairs), chain.from_iterable(map(itemgetter(1), pairs)))
+    if not set(map(type, ids)) <= {int}:
+        raise ValueError("expected integer colours and vertex ids")
+    return RainbowMatching(tuple(pairs))
+
+
 def parse_report(text: str) -> ReportDoc:
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != REPORT_FORMAT:
@@ -316,11 +322,7 @@ def parse_report(text: str) -> ReportDoc:
     for key in ("solver", "certificate", "size", "assignment"):
         if key not in payload:
             raise ValueError(f"{REPORT_FORMAT} document has no {key!r} field")
-    assignment = _field(
-        "assignment",
-        payload["assignment"],
-        lambda pairs: RainbowMatching(tuple((_int(c), tuple(_int(v) for v in e)) for c, e in pairs)),
-    )
+    assignment = _field("assignment", payload["assignment"], _assignment)
     failure = payload.get("failure")
     certificate = payload["certificate"]
     if certificate not in CERTIFICATES or (certificate == CERT_FAILURE) != (failure is not None):

@@ -61,10 +61,10 @@ their memory grows with the edges, not with edges times vertices.
 Only the exact solver works on bitmasks, through a table it builds
 for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
-bits whatever the vertex ids are, and groups colours with identical
-edge sets into the exact solver's classes, each edge with its bitmask.
-The same pass checks every class, maps its vertex bits and masks to
-its edges, and runs the union-find, so both exact paths read one table.
+bits whatever the vertex ids are, and groups the runs of
+``Instance.runs`` with identical edge sets into the exact solver's
+classes.  One pass over the classes' edges checks them, maps their
+bits to edges and runs the union-find; both exact paths read it.
 """
 
 from __future__ import annotations
@@ -218,14 +218,10 @@ class _Table:
             return x
 
         # colours with identical edge sets, grouped, each edge with its
-        # bitmask over the dense ids; in order of their lowest member.
-        # Consecutive colours holding one matching object hash it once
+        # bitmask over the dense ids; in order of their lowest member
         groups: dict[Matching, list[int]] = {}
-        previous: Matching | None = None
-        for colour, es in enumerate(inst.matchings):
-            if es is not previous:
-                previous, members = es, groups.setdefault(es, [])
-            members.append(colour)
+        for es, colours in inst.runs:
+            groups.setdefault(es, []).extend(colours)
         bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
         self.classes: list[_ColourClass] = []
         for es, members in groups.items():

@@ -261,6 +261,9 @@ def test_verify_rejects_report_missing_a_field(tmp_path, capsys, key):
         ("size", True),
         ("assignment", [[0, [1.7, 2, 3]]]),
         ("assignment", [[True, [0, 1, 2]]]),
+        ("assignment", [[0, [True, 1, 2]]]),
+        ("assignment", [[0.0, [0, 1, 2]]]),
+        ("assignment", [[0, ["0", 1, 2]]]),
         ("certificate", "proven-maximum"),
         ("certificate", 5),
         ("certificate", "failure"),  # with no failure object

@@ -86,7 +86,9 @@ def test_reading_a_cycle_family_keeps_its_two_classes():
     assert all(m is inst.matchings[0] for m in inst.matchings[:-1])
 
 
-@pytest.mark.parametrize("r, n", [(4, 16), (5, 16), (5, 32), (6, 64)])
+@pytest.mark.parametrize(
+    "r, n", [(r, n) for r in range(3, 7) for n in range(2 ** (r - 1), 65, 2)]
+)
 def test_exact_certifies_ach_optimum(r, n):
     inst = rf.ach_instance(r, n)
     rep = rf.exact_max_rainbow(inst)

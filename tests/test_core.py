@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 
 import pytest
@@ -89,7 +90,7 @@ def test_membership_and_disjointness_checked():
 def test_membership_checked_for_colours_sharing_a_matching():
     inst = rf.cycle_instance(4)  # colours 0 to 2 share one matching object
     assert inst.matchings[0] is inst.matchings[2]
-    # the first colour scans the matching, the later ones test its set
+    # membership is tested for every colour of the shared matching
     assert rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (1, (2, 3)), (2, (4, 5)))))
     assert not rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (2, (5, 6)))))
     assert not rf.is_rainbow_matching(inst, rf.RainbowMatching(((0, (0, 1)), (1, (2, 3)), (2, (5, 6)))))
@@ -218,3 +219,109 @@ def test_rainbow_property_monotone_under_removal(seed, drop_mask):
     assert rf.is_rainbow_matching(inst, rm)
     kept = tuple(pair for i, pair in enumerate(rm.assignment) if not drop_mask >> i & 1)
     assert rf.is_rainbow_matching(inst, rf.RainbowMatching(kept))
+
+
+def _unshared(inst):
+    """``inst`` with every colour holding its own tuple."""
+    return rf.Instance(inst.r, tuple(tuple([*m]) for m in inst.matchings), inst.partition, inst.meta)
+
+
+_A, _B = ((0, 1),), ((2, 3),)
+_RUN_FAMILIES = {
+    "shared": rf.cycle_instance(5),
+    "unshared": _unshared(rf.cycle_instance(5)),
+    # one object twice, then an equal copy; one object, then an equal copy
+    "mixed": rf.Instance(2, (_A, _A, tuple([*_A]), _B, tuple([*_B]))),
+    "empty": rf.Instance(2, ()),
+}
+
+
+@pytest.mark.parametrize("inst", _RUN_FAMILIES.values(), ids=_RUN_FAMILIES.keys())
+def test_runs_are_the_maximal_runs_of_one_matching_object(inst):
+    assert [c for _, colours in inst.runs for c in colours] == list(range(inst.n))
+    assert all(a is not b for (a, _), (b, _) in zip(inst.runs, inst.runs[1:]))
+    assert all(inst.matchings[c] is m for m, colours in inst.runs for c in colours)
+
+
+def test_runs_follow_the_objects_not_equality():
+    assert [len(c) for _, c in _RUN_FAMILIES["shared"].runs] == [4, 1]
+    assert [len(c) for _, c in _RUN_FAMILIES["unshared"].runs] == [1] * 5
+    assert [len(c) for _, c in _RUN_FAMILIES["mixed"].runs] == [2, 1, 1, 1]
+    assert _RUN_FAMILIES["empty"].runs == ()
+    # derived data: no part of equality or the repr
+    shared, unshared = _RUN_FAMILIES["shared"], _RUN_FAMILIES["unshared"]
+    assert shared == unshared and repr(shared) == repr(unshared)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rf.cycle_instance(7),
+        lambda: rf.ach_instance(4, 10),
+        lambda: rf.k4_union_instance(9),
+        lambda: rf.dummy_lift(rf.ach_instance(3, 4), 2),
+        lambda: rf.random_instance(3, 6, 4, seed=2),
+    ],
+)
+def test_serialize_is_the_same_for_shared_and_unshared_matchings(build):
+    inst = build()
+    unshared = _unshared(inst)
+    assert len(unshared.runs) == inst.n
+    assert rf.serialize_instance(unshared).encode() == rf.serialize_instance(inst).encode()
+
+
+def _is_rainbow_by_definition(inst, rm):
+    """The definition, with a linear scan for membership."""
+    for c, _ in rm.assignment:
+        if not 0 <= c < inst.n:
+            raise ValueError(c)
+    colours = [c for c, _ in rm.assignment]
+    if len(set(colours)) != len(colours):
+        return False
+    if not all(any(f == e for f in inst.matchings[c]) for c, e in rm.assignment):
+        return False
+    return all(not set(a) & set(b) for (_, a), (_, b) in itertools.combinations(rm.assignment, 2))
+
+
+def _near_misses(e):
+    """Edges that sort next to ``e``: its last vertex moved by one, its
+    prefix, and its reverse."""
+    return [(*e[:-1], e[-1] + 1), (*e[:-1], e[-1] - 1), e[:-1], e[::-1]]
+
+
+@st.composite
+def _instances_and_assignments(draw):
+    r = draw(st.integers(2, 3))
+    # vertices in any order, so some edges are reversed
+    edge = st.lists(st.integers(0, 7), min_size=r, max_size=r, unique=True).map(tuple)
+    matchings = []
+    for _ in range(draw(st.integers(0, 5))):
+        how = draw(st.sampled_from(["new", "shared", "equal copy"])) if matchings else "new"
+        if how == "new":
+            m = draw(st.lists(edge, max_size=4))
+            m += m[:1] if draw(st.booleans()) else []  # a repeated edge
+            matchings.append(tuple(m))
+        else:
+            matchings.append(matchings[-1] if how == "shared" else tuple([*matchings[-1]]))
+    inst = rf.Instance(r, tuple(matchings))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = inst.n
+        colour = draw(st.integers(0, n - 1) if n and draw(st.integers(0, 9)) else st.sampled_from([-1, n]))
+        members = list(inst.matchings[colour]) if 0 <= colour < n else []
+        candidates = members + [x for e in members for x in _near_misses(e) if x]
+        pairs.append((colour, draw(st.sampled_from(candidates)) if candidates else draw(edge)))
+    return inst, rf.RainbowMatching(tuple(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_instances_and_assignments())
+def test_is_rainbow_matching_follows_the_definition(case):
+    inst, rm = case
+    try:
+        want = _is_rainbow_by_definition(inst, rm)
+    except ValueError:
+        with pytest.raises(ValueError, match="out of range"):
+            rf.is_rainbow_matching(inst, rm)
+    else:
+        assert rf.is_rainbow_matching(inst, rm) == want

@@ -113,6 +113,11 @@ def test_edge_of_other_arity_not_serialized():
     inst = rf.Instance(r=3, matchings=(((0, 1, 2), (3, 4)),))
     with pytest.raises(ValueError, match="matching 0 has an edge of other than 3 vertices"):
         rf.serialize_instance(inst)
+    # a matching that colours share is rendered once, under its first colour
+    bad = ((0, 1, 2), (3, 4))
+    inst = rf.Instance(r=3, matchings=(((5, 6, 7),), bad, bad))
+    with pytest.raises(ValueError, match="matching 1 has an edge of other than 3 vertices"):
+        rf.serialize_instance(inst)
 
 
 def test_report_round_trip():
