@@ -35,6 +35,12 @@ its root bound, when one component holds more than half of the covered
 vertices, or when the attempt would take more nodes than the budget or
 than one per (component, class edge) pair.
 
+Both searches, the branch-and-bound and the component enumeration, run
+through ``_walk`` from an explicit stack of node generators, so their
+depth is bounded by memory, not by the recursion limit.  The walker
+counts every node it enters and stops at the first one past the
+budget without running it.
+
 The local search realises the counting argument behind the
 ``check_gibounds`` inequality constructively.  Starting from a greedy
 matching it applies two moves until neither exists:
@@ -74,7 +80,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import Edge, Instance, Matching, RainbowMatching, is_rainbow_matching
 
@@ -179,10 +185,6 @@ class GoodEdgeTable:
     swap: _Swap | None
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class _ColourClass:
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
@@ -263,6 +265,30 @@ class _Table:
 # exact search
 
 
+def _walk(root: Iterator[Iterator], budget: int | None) -> tuple[int, bool]:
+    """Run a depth-first search from an explicit stack, so its depth is
+    bounded by memory, not by the recursion limit.
+
+    A node is a generator that does its own work and yields its
+    children's generators in order; each child runs to its end before
+    its parent resumes.  Every node entered is counted, the root first;
+    the first one past ``budget`` is counted but not run.  Returns
+    (nodes, budget exhausted flag).
+    """
+    nodes = 1
+    stack = [root]
+    while budget is None or nodes <= budget:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if not stack:
+                return nodes, False
+        else:
+            nodes += 1
+            stack.append(child)
+    return nodes, True
+
+
 def _witness(classes: Sequence[_ColourClass], chosen: Iterable[tuple[int, int]]) -> RainbowMatching:
     """The rainbow matching of (class, edge mask) picks: a class's k-th
     pick takes its k-th member colour."""
@@ -299,23 +325,21 @@ def _branch_and_bound(
     * another class loses the edges on the picked edge's vertices,
       found through the class's ``edge_at`` map.
 
-    The vertex bound's union is the OR of the class unions.
+    The vertex bound's union is the OR of the class unions.  Each node
+    is a generator run from :func:`_walk`'s explicit stack, which counts
+    it and stops at the first node past ``budget``.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag).
     """
     best_size = incumbent.size
     best_witness = incumbent
-    nodes = 0
     chosen: list[tuple[int, int]] = []  # (class, mask of the chosen edge)
     left = [len(cl.members) for cl in classes]
     edge_at = [cl.edge_at for cl in classes]
 
-    def dfs(live: dict[int, int]) -> None:
-        nonlocal best_size, best_witness, nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _BudgetExhausted
+    def dfs(live: dict[int, int]) -> Iterator[Iterator]:
+        nonlocal best_size, best_witness
         cur = len(chosen)
         if cur > best_size:
             best_size = cur
@@ -359,25 +383,21 @@ def _branch_and_bound(
                         continue
                 child[cj] = u
             chosen.append((pick, mk))
-            dfs(child)
+            yield dfs(child)
             chosen.pop()
         left[pick] = k
         # close the whole class: interchangeable colours make exploring
         # "skip member k, use member k+1" redundant
-        rest = {cj: u for cj, u in live.items() if cj != pick}
-        dfs(rest)
+        yield dfs({cj: u for cj, u in live.items() if cj != pick})
 
-    exhausted = False
-    try:
-        dfs({ci: cl.union for ci, cl in enumerate(classes) if cl.union})
-    except _BudgetExhausted:
-        exhausted = True
+    root = dfs({ci: cl.union for ci, cl in enumerate(classes) if cl.union})
+    nodes, exhausted = _walk(root, budget)
     return best_witness, nodes, exhausted
 
 
 def _profiles(
     items: Sequence[tuple[int, int]], caps: Sequence[int], limit: int, nodes: int
-) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, ...]], int]:
+) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, ...]] | None, int]:
     """The maximal class profiles of one component, each with its first
     witness, and the updated node count.
 
@@ -385,49 +405,44 @@ def _profiles(
     then edge order.  A selection is an increasing run of pairwise
     disjoint items with at most ``caps[class]`` per class; its profile
     is the sparse tuple of (class, edges used), its witness the item
-    indices.  Every selection is one node; past ``limit`` nodes the
-    enumeration raises :class:`_BudgetExhausted`.
+    indices.  Every selection is one node, a generator run from
+    :func:`_walk`'s explicit stack; past ``limit`` nodes the enumeration
+    stops and the profiles are None.
     """
     found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    used_per_class: dict[int, int] = {}
+    # edges used per class, keyed in class order, so a profile is read
+    # off the counts that are not zero
+    used_per_class = dict.fromkeys((ci for ci, _ in items), 0)
     chosen: list[int] = []
 
-    def rec(start: int, used: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise _BudgetExhausted
-        profile: list[tuple[int, int]] = []
-        for t in chosen:
-            ci = items[t][0]
-            if profile and profile[-1][0] == ci:
-                profile[-1] = (ci, profile[-1][1] + 1)
-            else:
-                profile.append((ci, 1))
-        found.setdefault(tuple(profile), tuple(chosen))
+    def rec(start: int, used: int) -> Iterator[Iterator]:
+        profile = tuple((ci, k) for ci, k in used_per_class.items() if k)
+        found.setdefault(profile, tuple(chosen))
         for t in range(start, len(items)):
             ci, mk = items[t]
-            k = used_per_class.get(ci, 0)
+            k = used_per_class[ci]
             if mk & used or k == caps[ci]:
                 continue
             used_per_class[ci] = k + 1
             chosen.append(t)
-            rec(t + 1, used | mk)
+            yield rec(t + 1, used | mk)
             chosen.pop()
             used_per_class[ci] = k
 
-    rec(0, 0)
+    walked, exhausted = _walk(rec(0, 0), limit - nodes)
+    nodes += walked
+    if exhausted:
+        return None, nodes
+
     # the profiles are downward closed, so a profile is maximal exactly
     # when no single class can be raised by one
-    classes = sorted(set(ci for ci, _ in items))
-
     def raised(p: tuple[tuple[int, int], ...], ci: int) -> tuple[tuple[int, int], ...]:
         d = dict(p)
         d[ci] = d.get(ci, 0) + 1
         return tuple(sorted(d.items()))
 
     return {
-        p: w for p, w in found.items() if not any(raised(p, ci) in found for ci in classes)
+        p: w for p, w in found.items() if not any(raised(p, ci) in found for ci in used_per_class)
     }, nodes
 
 
@@ -479,87 +494,86 @@ def _by_components(
         comp_group.append(group_of[key])
 
     nodes = dp_states = 0
-    try:
-        found = []
-        for c in first_of:
-            profiles, nodes = _profiles(items[c], caps, limit, nodes)
-            found.append(profiles)
+    found = []
+    for c in first_of:
+        profiles, nodes = _profiles(items[c], caps, limit, nodes)
+        if profiles is None:
+            return None
+        found.append(profiles)
 
-        # class types: the same capacity, and swapping the two classes
-        # maps every component's profile set to itself
-        def symmetric(a: int, b: int) -> bool:
-            swap = {a: b, b: a}
-            return all(
-                {tuple(sorted((swap.get(ci, ci), k) for ci, k in p)) for p in ps} == ps.keys()
-                for ps in found
-            )
+    # class types: the same capacity, and swapping the two classes
+    # maps every component's profile set to itself
+    def symmetric(a: int, b: int) -> bool:
+        swap = {a: b, b: a}
+        return all(
+            {tuple(sorted((swap.get(ci, ci), k) for ci, k in p)) for p in ps} == ps.keys()
+            for ps in found
+        )
 
-        types: list[list[int]] = []
-        for ci, cl in enumerate(classes):
-            if not cl.masks:
-                continue
-            for ty in types:
-                if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
-                    ty.append(ci)
-                    break
-            else:
-                types.append([ci])
-
-        # a state is the remaining capacities in type order, each type's
-        # slice sorted; the colours used so far are the capacity spent,
-        # so the state alone determines the value
-        order = [ci for ty in types for ci in ty]
-        slot = {ci: s for s, ci in enumerate(order)}
-        span_of: list[tuple[int, int]] = []
+    types: list[list[int]] = []
+    for ci, cl in enumerate(classes):
+        if not cl.masks:
+            continue
         for ty in types:
-            span_of += [(len(span_of), len(span_of) + len(ty))] * len(ty)
-        moves = [
-            [(tuple((slot[ci], k) for ci, k in p), w) for p, w in profiles.items()]
-            for profiles in found
-        ]
+            if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
+                ty.append(ci)
+                break
+        else:
+            types.append([ci])
 
-        def apply(state: Sequence[int], move: tuple[tuple[int, int], ...]) -> list[int]:
-            child = list(state)
-            for s, k in move:
-                child[s] -= min(k, child[s])
-            return child
+    # a state is the remaining capacities in type order, each type's
+    # slice sorted; the colours used so far are the capacity spent,
+    # so the state alone determines the value
+    order = [ci for ty in types for ci in ty]
+    slot = {ci: s for s, ci in enumerate(order)}
+    span_of: list[tuple[int, int]] = []
+    for ty in types:
+        span_of += [(len(span_of), len(span_of) + len(ty))] * len(ty)
+    moves = [
+        [(tuple((slot[ci], k) for ci, k in p), w) for p, w in profiles.items()]
+        for profiles in found
+    ]
 
-        def canonical(child: list[int], touched: Iterable[int]) -> tuple[int, ...]:
-            for lo, hi in {span_of[s] for s in touched}:
-                if hi - lo > 1:
-                    child[lo:hi] = sorted(child[lo:hi])
-            return tuple(child)
+    def apply(state: Sequence[int], move: tuple[tuple[int, int], ...]) -> list[int]:
+        child = list(state)
+        for s, k in move:
+            child[s] -= min(k, child[s])
+        return child
 
-        start = tuple(caps[ci] for ci in order)
-        total = sum(start)
-        # the most colours the components from c on can still add
-        reach = [0] * (len(comps) + 1)
-        for c in reversed(range(len(comps))):
-            reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m, _ in moves[comp_group[c]])
-        layers: list[dict[tuple[int, ...], tuple[int, ...]]] = [{start: start}]
-        for c, g in enumerate(comp_group):
-            nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for state in layers[-1]:
-                seen = set()
-                for move, _ in moves[g]:
-                    # moves meeting equal capacities of one type lead to
-                    # the same state
-                    key = tuple(sorted((span_of[s], state[s], k) for s, k in move))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    child = canonical(apply(state, move), (s for s, _ in move))
-                    left = sum(child)
-                    if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
-                        continue  # known, or cannot beat the incumbent
-                    nxt[child] = state
-                    nodes += 1
-                    dp_states += 1
-                    if nodes > limit:
-                        raise _BudgetExhausted
-            layers.append(nxt)
-    except _BudgetExhausted:
-        return None
+    def canonical(child: list[int], touched: Iterable[int]) -> tuple[int, ...]:
+        for lo, hi in {span_of[s] for s in touched}:
+            if hi - lo > 1:
+                child[lo:hi] = sorted(child[lo:hi])
+        return tuple(child)
+
+    start = tuple(caps[ci] for ci in order)
+    total = sum(start)
+    # the most colours the components from c on can still add
+    reach = [0] * (len(comps) + 1)
+    for c in reversed(range(len(comps))):
+        reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m, _ in moves[comp_group[c]])
+    layers: list[dict[tuple[int, ...], tuple[int, ...]]] = [{start: start}]
+    for c, g in enumerate(comp_group):
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for state in layers[-1]:
+            seen = set()
+            for move, _ in moves[g]:
+                # moves meeting equal capacities of one type lead to
+                # the same state
+                key = tuple(sorted((span_of[s], state[s], k) for s, k in move))
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = canonical(apply(state, move), (s for s, _ in move))
+                left = sum(child)
+                if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
+                    continue  # known, or cannot beat the incumbent
+                nxt[child] = state
+                nodes += 1
+                dp_states += 1
+                if nodes > limit:
+                    return None
+        layers.append(nxt)
     extra = {"components": len(comps), "dp_states": dp_states}
     if not layers[-1]:
         return incumbent, nodes, extra

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,27 @@ def test_exit_codes(tmp_path, capsys):
         "--node-budget", "2", "--out", str(out_path),
     ]) == 3
     capsys.readouterr()
+
+
+def test_solve_exits_3_on_a_budgeted_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # the exact search goes about 300 levels deep on this family, past a
+    # recursion limit of 250; solve must still exit 3 with the budgeted
+    # heuristic report, not with a RecursionError traceback
+    inst_path = tmp_path / "random.rbf"
+    inst_path.write_text(rf.serialize_instance(rf.random_instance(2, 300, 300, seed=1)))
+    report_path = tmp_path / "random.json"
+    argv = ["solve", "--in", str(inst_path), "--solver", "exact", "--node-budget", "400",
+            "--out", str(report_path)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        rc = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rc == 3
+    assert "node budget exhausted" in capsys.readouterr().err
+    doc = rf.parse_report(report_path.read_text())
+    assert (doc.certificate, doc.size, doc.stats["nodes"]) == ("heuristic", 296, 401)
 
 
 def test_solve_exits_3_when_sample_and_extend_fails(tmp_path, capsys):

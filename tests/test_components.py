@@ -98,11 +98,12 @@ def test_exact_certifies_ach_optimum(r, n):
     assert rep.stats.extra["components"] == n // 2
 
 
-@pytest.mark.parametrize("budget", [None, 36, 35, 10])
+@pytest.mark.parametrize("budget", [None, 36, 35, 10, 0])
 def test_exact_by_components_only_within_the_budget(budget):
     # 18 enumeration nodes for the one gadget shape, then 18 DP states
     # that could still beat the incumbent; with fewer nodes the search
-    # runs under the whole budget instead
+    # runs under the whole budget instead.  At budget 0 the search's
+    # root is past it: counted, not run, so the incumbent is returned
     inst = rf.ach_instance(4, 12)
     rep = rf.exact_max_rainbow(inst, node_budget=budget)
     assert rf.is_rainbow_matching(inst, rep.matching)
