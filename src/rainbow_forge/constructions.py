@@ -329,8 +329,6 @@ def _deterministic_candidates(r: int, n: int, t: int):
                 yield _truncate_family(src, n, t)
     if r == 2 and 2 <= n <= t:
         yield _truncate_family(cycle_instance(t), n, t)
-    if r == 2 and t == n + 1 and n % 2 == 1 and n >= 3:
-        yield k4_union_instance(n)
 
 
 def _random_partite_matchings(rng: random.Random, r: int, n: int, t: int) -> list[list[Edge]]:
@@ -424,8 +422,6 @@ def _matchings_to_instance(r: int, t: int, state: list[list[Edge]]) -> Instance:
 def _mutate_matching(rng: random.Random, matching: list[Edge], r: int, t: int) -> None:
     """Swap the part-j vertices of two edges of one matching (keeps it a
     perfect matching of the r-partite host)."""
-    if t < 2:
-        return
     j = rng.randrange(r)
     x, y = rng.sample(range(t), 2)
     ex, ey = list(matching[x]), list(matching[y])

@@ -23,17 +23,24 @@ colours.  A selection's profile counts the colours it uses per class;
 the maximal profiles are kept, each with its first witness.  Classes
 of equal capacity whose swap maps every component's profile set to
 itself form one type.  A dynamic program (DP) walks the components in
-order over the remaining class capacities, each type's capacities kept
-sorted so that symmetric states merge; a profile is cut down to what
-remains, which is valid because profiles are downward closed.  The
-colours used are the capacity spent; a state that cannot beat the
+order; its state is, per type, the sorted tuple of the type's remaining
+class capacities, so states that differ by a swap within a type are
+one.  A component's moves are the distinct uses of the types among its
+profiles (per type, the sorted numbers of colours its classes give),
+and a move's children are the distinct ways to give each use its own
+class of the type, named by its remaining capacity; a use is cut down
+to what remains, which is valid because profiles are downward closed.
+The colours used are the capacity spent; a state that cannot beat the
 incumbent even if the remaining components add their largest profiles
 is dropped, and the final state with the least capacity left gives the
-maximum.  The branch-and-bound runs instead
-when the instance has one component, when the incumbent already meets
-its root bound, when one component holds more than half of the covered
-vertices, or when the attempt would take more nodes than the budget or
-than one per (component, class edge) pair.
+maximum.  Its witness follows each state's first parent back and gives
+each use an actual class with the capacity it met: a swap within a
+type maps profiles to profiles, so that profile has a witness too.
+The branch-and-bound runs instead when the instance has one
+component, when the incumbent already meets its root bound, when one
+component holds more than half of the covered vertices, or when the
+attempt would take more nodes than the budget or than one per
+(component, class edge) pair.
 
 Both searches, the branch-and-bound and the component enumeration, run
 through ``_walk`` from an explicit stack of node generators, so their
@@ -78,6 +85,7 @@ from __future__ import annotations
 import decimal
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
@@ -189,8 +197,7 @@ class GoodEdgeTable:
 class _ColourClass:
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
     edges: tuple[Edge, ...]  # lexicographically sorted
-    masks: tuple[int, ...]
-    union: int  # the OR of the masks
+    union: int  # the OR of the edges' masks
     edge_at: dict[int, int]  # vertex bit -> mask of the class edge on it
     edge_of: dict[int, Edge]  # mask -> edge
 
@@ -252,7 +259,7 @@ class _Table:
                     rem ^= low
             if union.bit_count() != r * len(es):
                 raise ValueError(f"colour {members[0]}: edges intersect, so it is not a matching")
-            self.classes.append(_ColourClass(tuple(members), es, tuple(of), union, at, of))
+            self.classes.append(_ColourClass(tuple(members), es, union, at, of))
 
         first: dict[int, int] = {}
         label = self.label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
@@ -452,6 +459,11 @@ def _by_components(
     """Solve a disjoint union one component at a time (see the module
     docstring).
 
+    After the gates and the profile enumeration, the DP keeps each
+    state's first parent, move and the capacity each use met; the
+    witness replays those steps on the actual classes and reads each
+    component's edges from the witness of the profile they give.
+
     Returns None when the instance is left to :func:`_branch_and_bound`;
     otherwise the best matching (``incumbent`` unless the combination
     beat it), the nodes, which are enumeration nodes plus DP states, and
@@ -460,7 +472,7 @@ def _by_components(
     classes = table.classes
     caps = [len(cl.members) for cl in classes]
     nv = len(table.index)  # every vertex lies on an edge
-    if incumbent.size >= min(sum(min(k, len(cl.masks)) for k, cl in zip(caps, classes)), nv // r):
+    if incumbent.size >= min(sum(min(k, len(cl.edges)) for k, cl in zip(caps, classes)), nv // r):
         return None  # meets the search's root bound: it stops at once
     comps, label = table.comps, table.label
     if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
@@ -471,14 +483,14 @@ def _by_components(
     # that; rich pieces (random parts, many classes that no symmetry
     # merges) exceed it long before the search would.  Past it, or past
     # the budget, the search runs as if no attempt had been made.
-    limit = len(comps) * sum(len(cl.masks) for cl in classes)
+    limit = len(comps) * sum(len(cl.edges) for cl in classes)
     if budget is not None:
         limit = min(limit, budget)
 
     # each component's edges as (class, mask) items
     items: list[list[tuple[int, int]]] = [[] for _ in comps]
     for ci, cl in enumerate(classes):
-        for mk in cl.masks:
+        for mk in cl.edge_of:
             items[label[(mk & -mk).bit_length() - 1]].append((ci, mk))
     # identical components (the same classes and edges up to a shift of
     # the dense ids) share one enumeration
@@ -512,7 +524,7 @@ def _by_components(
 
     types: list[list[int]] = []
     for ci, cl in enumerate(classes):
-        if not cl.masks:
+        if not cl.edges:
             continue
         for ty in types:
             if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
@@ -521,84 +533,89 @@ def _by_components(
         else:
             types.append([ci])
 
-    # a state is the remaining capacities in type order, each type's
-    # slice sorted; the colours used so far are the capacity spent,
-    # so the state alone determines the value
-    order = [ci for ty in types for ci in ty]
-    slot = {ci: s for s, ci in enumerate(order)}
-    span_of: list[tuple[int, int]] = []
-    for ty in types:
-        span_of += [(len(span_of), len(span_of) + len(ty))] * len(ty)
+    # a state is each type's remaining capacities, sorted; the colours
+    # used so far are the capacity spent, so the state alone determines
+    # the value.  A move is one distinct use of the types by a
+    # component's profiles: the sorted (type, edges used) pairs
+    type_of = {ci: t for t, ty in enumerate(types) for ci in ty}
     moves = [
-        [(tuple((slot[ci], k) for ci, k in p), w) for p, w in profiles.items()]
-        for profiles in found
+        list(dict.fromkeys(tuple(sorted((type_of[ci], k) for ci, k in p)) for p in ps))
+        for ps in found
     ]
 
-    def apply(state: Sequence[int], move: tuple[tuple[int, int], ...]) -> list[int]:
-        child = list(state)
-        for s, k in move:
-            child[s] -= min(k, child[s])
-        return child
+    def children(state: tuple, move: tuple[tuple[int, int], ...]) -> Iterator[tuple]:
+        """The ways to give each use of ``move`` its own class of its type,
+        as (child, the capacity each use met, colours spent); a use is cut
+        down to what remains.  A used class leaves its type's tuple until
+        the move is done, so no later use meets it; equal uses meet
+        capacities in ascending order, so each multiset is met once."""
+        ways = [(state, (), (), 0)]
+        for j, (t, k) in enumerate(move):
+            step = []
+            for st, cut, met, spent in ways:
+                low = met[-1] if j and move[j - 1] == (t, k) else 0
+                held = st[t]
+                for i, cap in enumerate(held):
+                    if cap >= low and (i == 0 or held[i - 1] != cap):
+                        use = min(k, cap)
+                        child = list(st)
+                        child[t] = held[:i] + held[i + 1 :]
+                        step.append((child, cut + ((t, cap - use),), met + (cap,), spent + use))
+            ways = step
+        for child, cut, met, spent in ways:
+            for t, c in cut:
+                i = bisect(child[t], c)
+                child[t] = child[t][:i] + (c,) + child[t][i:]
+            yield tuple(child), met, spent
 
-    def canonical(child: list[int], touched: Iterable[int]) -> tuple[int, ...]:
-        for lo, hi in {span_of[s] for s in touched}:
-            if hi - lo > 1:
-                child[lo:hi] = sorted(child[lo:hi])
-        return tuple(child)
-
-    start = tuple(caps[ci] for ci in order)
-    total = sum(start)
+    start = tuple((caps[ty[0]],) * len(ty) for ty in types)
+    total = sum(map(sum, start))
     # the most colours the components from c on can still add
     reach = [0] * (len(comps) + 1)
     for c in reversed(range(len(comps))):
-        reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m, _ in moves[comp_group[c]])
-    layers: list[dict[tuple[int, ...], tuple[int, ...]]] = [{start: start}]
+        reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m in moves[comp_group[c]])
+    # each state maps to its first parent, move and capacities met
+    layers: list[dict] = [{start: None}]
     for c, g in enumerate(comp_group):
-        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nxt: dict = {}
         for state in layers[-1]:
-            seen = set()
-            for move, _ in moves[g]:
-                # moves meeting equal capacities of one type lead to
-                # the same state
-                key = tuple(sorted((span_of[s], state[s], k) for s, k in move))
-                if key in seen:
-                    continue
-                seen.add(key)
-                child = canonical(apply(state, move), (s for s, _ in move))
-                left = sum(child)
-                if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
-                    continue  # known, or cannot beat the incumbent
-                nxt[child] = state
-                nodes += 1
-                dp_states += 1
-                if nodes > limit:
-                    return None
+            state_left = sum(map(sum, state))
+            for move in moves[g]:
+                for child, met, spent in children(state, move):
+                    left = state_left - spent
+                    if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
+                        continue  # known, or cannot beat the incumbent
+                    nxt[child] = (state, move, met)
+                    nodes += 1
+                    dp_states += 1
+                    if nodes > limit:
+                        return None
         layers.append(nxt)
     extra = {"components": len(comps), "dp_states": dp_states}
     if not layers[-1]:
         return incumbent, nodes, extra
-    best = min(layers[-1], key=sum)
 
-    # follow the best path back, then replay it on the actual
-    # capacities: take the first move whose canonical child is on it
-    path = [best]
+    # follow the best state back, then give each use a class of its
+    # type with the capacity it met; a swap within a type maps profiles
+    # to profiles, so the profile of those classes has a witness
+    state = min(layers[-1], key=lambda s: sum(map(sum, s)))
+    steps = []
     for layer in reversed(layers[1:]):
-        path.append(layer[path[-1]])
-    path.reverse()
-    rem = list(start)
+        state, move, met = layer[state]
+        steps.append((move, met))
+    rem = list(caps)
     chosen = []
-    for c, g in enumerate(comp_group):
-        for move, witness in moves[g]:
-            child = apply(rem, move)
-            if canonical(list(child), range(len(child))) == path[c + 1]:
-                break
-        take = {order[s]: rem[s] - child[s] for s, _ in move}
-        for t in witness:
-            ci, mk = items[c][t]
-            if take[ci]:
-                take[ci] -= 1
+    for c, (move, met) in enumerate(reversed(steps)):
+        uses: dict[int, int] = {}
+        for (t, k), cap in zip(move, met):
+            uses[next(ci for ci in types[t] if rem[ci] == cap and ci not in uses)] = k
+        # the witness holds k edges of a class used k times: take them
+        # while the class has colours left
+        for i in found[comp_group[c]][tuple(sorted(uses.items()))]:
+            ci, mk = items[c][i]
+            if rem[ci]:
+                rem[ci] -= 1
                 chosen.append((ci, mk))
-        rem = child
     return _witness(classes, chosen), nodes, extra
 
 

@@ -147,7 +147,7 @@ def run_solver(
                 "stage": result.stage,
                 "detail": result.detail,
                 "attempts": result.attempts,
-                "diagnostics": {k: _jsonable(v) for k, v in result.diagnostics.items()},
+                "diagnostics": dict(result.diagnostics),
             },
         )
     return ReportDoc(
@@ -160,16 +160,10 @@ def run_solver(
             "swaps": result.stats.swaps,
             "wall_time": result.stats.wall_time,
             "seed": result.stats.seed,
-            "extra": {k: _jsonable(v) for k, v in result.stats.extra.items()},
+            "extra": dict(result.stats.extra),
         },
         instance=instance_ref,
     )
-
-
-def _jsonable(v: Any) -> Any:
-    if isinstance(v, (bool, int, float, str)) or v is None:
-        return v
-    return str(v)
 
 
 def bound_checks(spec: CellSpec, inst: Instance, doc: ReportDoc) -> dict[str, Any]:

@@ -47,9 +47,9 @@ def reference_branch_and_bound(
 
     # compat maps open class index -> (members_left, tuple of (pos, mask))
     compat: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
-        ci: (len(cl.members), tuple(enumerate(cl.masks)))
+        ci: (len(cl.members), tuple(enumerate(cl.edge_of)))
         for ci, cl in enumerate(classes)
-        if cl.masks
+        if cl.edges
     }
 
     def dfs(live: dict[int, tuple[int, tuple[tuple[int, int], ...]]]) -> None:

@@ -1,0 +1,178 @@
+"""Reference component solver for checking the package's DP.
+
+A copy of the exact solver's component path, ``_by_components``, as it
+was when its dynamic program named class slots: a state was every
+class's remaining capacity in type order, each type's slice sorted;
+every profile of a component was one move, deduplicated per state by a
+sorted key, and the witness was rebuilt by searching, at each
+component, for the move whose sorted child lay on the stored path.  The
+package now keeps a sorted tuple of capacities per type and has one
+move per distinct use of the types; its states, node count, ``extra``
+entries and budget cut-off must stay the same.  It shares the
+package's ``_profiles`` enumeration and ``_witness`` builder, and reads
+each class's edge masks from the keys of ``edge_of``.  Test-only, like
+``bnb_reference``: nothing in the package imports it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from rainbow_forge.core import RainbowMatching
+from rainbow_forge.solvers import _profiles, _witness
+
+
+def reference_by_components(
+    table, r: int, budget: int | None, incumbent: RainbowMatching
+) -> tuple[RainbowMatching, int, dict] | None:
+    """Solve a disjoint union one component at a time.
+
+    Returns None when the instance is left to :func:`_branch_and_bound`;
+    otherwise the best matching (``incumbent`` unless the combination
+    beat it), the nodes, which are enumeration nodes plus DP states, and
+    the ``stats.extra`` entries of this path.
+    """
+    classes = table.classes
+    masks = [tuple(cl.edge_of) for cl in classes]
+    caps = [len(cl.members) for cl in classes]
+    nv = len(table.index)  # every vertex lies on an edge
+    if incumbent.size >= min(sum(min(k, len(ms)) for k, ms in zip(caps, masks)), nv // r):
+        return None  # meets the search's root bound: it stops at once
+    comps, label = table.comps, table.label
+    if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
+        return None  # a dominant component makes its profiles explode
+    # The attempt may take one node per (component, class edge) pair.
+    # Gadgets, K4 blocks and shared edges hold at most two disjoint edges
+    # and their classes fall into a few types, so they stay far inside
+    # that; rich pieces (random parts, many classes that no symmetry
+    # merges) exceed it long before the search would.  Past it, or past
+    # the budget, the search runs as if no attempt had been made.
+    limit = len(comps) * sum(map(len, masks))
+    if budget is not None:
+        limit = min(limit, budget)
+
+    # each component's edges as (class, mask) items
+    items: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for ci, ms in enumerate(masks):
+        for mk in ms:
+            items[label[(mk & -mk).bit_length() - 1]].append((ci, mk))
+    # identical components (the same classes and edges up to a shift of
+    # the dense ids) share one enumeration
+    group_of: dict[tuple[tuple[int, int], ...], int] = {}
+    comp_group = []
+    first_of: list[int] = []
+    for c, mk in enumerate(comps):
+        shift = (mk & -mk).bit_length() - 1
+        key = tuple((ci, m >> shift) for ci, m in items[c])
+        if key not in group_of:
+            group_of[key] = len(first_of)
+            first_of.append(c)
+        comp_group.append(group_of[key])
+
+    nodes = dp_states = 0
+    found = []
+    for c in first_of:
+        profiles, nodes = _profiles(items[c], caps, limit, nodes)
+        if profiles is None:
+            return None
+        found.append(profiles)
+
+    # class types: the same capacity, and swapping the two classes
+    # maps every component's profile set to itself
+    def symmetric(a: int, b: int) -> bool:
+        swap = {a: b, b: a}
+        return all(
+            {tuple(sorted((swap.get(ci, ci), k) for ci, k in p)) for p in ps} == ps.keys()
+            for ps in found
+        )
+
+    types: list[list[int]] = []
+    for ci, ms in enumerate(masks):
+        if not ms:
+            continue
+        for ty in types:
+            if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
+                ty.append(ci)
+                break
+        else:
+            types.append([ci])
+
+    # a state is the remaining capacities in type order, each type's
+    # slice sorted; the colours used so far are the capacity spent,
+    # so the state alone determines the value
+    order = [ci for ty in types for ci in ty]
+    slot = {ci: s for s, ci in enumerate(order)}
+    span_of: list[tuple[int, int]] = []
+    for ty in types:
+        span_of += [(len(span_of), len(span_of) + len(ty))] * len(ty)
+    moves = [
+        [(tuple((slot[ci], k) for ci, k in p), w) for p, w in profiles.items()]
+        for profiles in found
+    ]
+
+    def apply(state: Sequence[int], move: tuple[tuple[int, int], ...]) -> list[int]:
+        child = list(state)
+        for s, k in move:
+            child[s] -= min(k, child[s])
+        return child
+
+    def canonical(child: list[int], touched: Iterable[int]) -> tuple[int, ...]:
+        for lo, hi in {span_of[s] for s in touched}:
+            if hi - lo > 1:
+                child[lo:hi] = sorted(child[lo:hi])
+        return tuple(child)
+
+    start = tuple(caps[ci] for ci in order)
+    total = sum(start)
+    # the most colours the components from c on can still add
+    reach = [0] * (len(comps) + 1)
+    for c in reversed(range(len(comps))):
+        reach[c] = reach[c + 1] + max(sum(k for _, k in m) for m, _ in moves[comp_group[c]])
+    layers: list[dict[tuple[int, ...], tuple[int, ...]]] = [{start: start}]
+    for c, g in enumerate(comp_group):
+        nxt: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for state in layers[-1]:
+            seen = set()
+            for move, _ in moves[g]:
+                # moves meeting equal capacities of one type lead to
+                # the same state
+                key = tuple(sorted((span_of[s], state[s], k) for s, k in move))
+                if key in seen:
+                    continue
+                seen.add(key)
+                child = canonical(apply(state, move), (s for s, _ in move))
+                left = sum(child)
+                if child in nxt or total - left + min(left, reach[c + 1]) <= incumbent.size:
+                    continue  # known, or cannot beat the incumbent
+                nxt[child] = state
+                nodes += 1
+                dp_states += 1
+                if nodes > limit:
+                    return None
+        layers.append(nxt)
+    extra = {"components": len(comps), "dp_states": dp_states}
+    if not layers[-1]:
+        return incumbent, nodes, extra
+    best = min(layers[-1], key=sum)
+
+    # follow the best path back, then replay it on the actual
+    # capacities: take the first move whose canonical child is on it
+    path = [best]
+    for layer in reversed(layers[1:]):
+        path.append(layer[path[-1]])
+    path.reverse()
+    rem = list(start)
+    chosen = []
+    for c, g in enumerate(comp_group):
+        for move, witness in moves[g]:
+            child = apply(rem, move)
+            if canonical(list(child), range(len(child))) == path[c + 1]:
+                break
+        take = {order[s]: rem[s] - child[s] for s, _ in move}
+        for t in witness:
+            ci, mk = items[c][t]
+            if take[ci]:
+                take[ci] -= 1
+                chosen.append((ci, mk))
+        rem = child
+    return _witness(classes, chosen), nodes, extra

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rainbow_forge as rf
 from rainbow_forge import solvers
 
+from components_reference import reference_by_components
 from ilp_oracle import ilp_max_rainbow
 from oracle import brute_force_max_rainbow
 
@@ -65,6 +66,48 @@ def test_shared_matching_objects_do_not_change_exact_results(build, optimum):
     ]
     assert results == [results[0]] * 3
     assert results[0][0] == optimum and results[0][2] == rf.CERT_EXACT
+
+
+@pytest.mark.parametrize(
+    "build, nodes, dp_states",
+    [
+        (lambda: rf.ach_instance(4, 10), 31, 13),
+        (lambda: rf.ach_instance(3, 64), 72, 62),
+        (lambda: rf.k4_union_instance(41), 48, 40),
+        (lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2), 26, 0),
+        (blowup, 9, 0),
+        (lambda: rf.ach_instance(6, 64), 1234, 1168),
+        (lambda: rf.ach_instance(7, 128), 8866, 8736),
+    ],
+)
+def test_component_counts_on_paper_constructions(build, nodes, dp_states):
+    rep = rf.exact_max_rainbow(build())
+    assert rep.certificate == rf.CERT_EXACT
+    assert (rep.stats.nodes, rep.stats.extra["dp_states"]) == (nodes, dp_states)
+
+
+@pytest.mark.parametrize(
+    "build, optimum, nodes, dp_states",
+    [
+        (lambda: rf.ach_instance(4, 10), 6, 54, 36),
+        (lambda: rf.ach_instance(4, 12), 8, 76, 58),
+        (lambda: rf.ach_instance(3, 64), 62, 1531, 1521),
+        (lambda: rf.k4_union_instance(41), 40, 470, 462),
+        (lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2), 6, 47, 21),
+        (blowup, 3, 15, 6),
+        (lambda: rf.ach_instance(6, 64), 48, 5521, 5455),
+    ],
+)
+def test_components_rebuild_a_witness_on_paper_constructions(build, optimum, nodes, dp_states):
+    # from an empty incumbent every DP layer is kept and the witness is
+    # rebuilt from the types' capacities, which the local-search
+    # incumbents, already optimal, never need
+    inst = build()
+    matching, got_nodes, extra = solvers._by_components(
+        solvers._Table(inst), inst.r, None, rf.RainbowMatching()
+    )
+    assert (matching.size, got_nodes, extra["dp_states"]) == (optimum, nodes, dp_states)
+    assert rf.is_rainbow_matching(inst, matching)
 
 
 def test_equal_matchings_of_different_objects_form_one_class():
@@ -166,3 +209,22 @@ def test_exact_by_components_matches_the_oracles(inst):
             matching, _, extra = forced
             assert extra["components"] >= 2
             assert matching.size == want and rf.is_rainbow_matching(inst, matching)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unions())
+def test_components_match_the_reference_dp(inst):
+    # the same attempts, states, nodes and extra entries as the DP that
+    # named class slots; a witness may differ where a state's first
+    # parent does, so it is only checked to be valid and of the size
+    table = solvers._Table(inst)
+    local = rf.local_search_rainbow(inst).matching
+    incumbents = (local, rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1]))
+    for incumbent in incumbents:
+        for budget in (None, 40):
+            got = solvers._by_components(table, inst.r, budget, incumbent)
+            want = reference_by_components(table, inst.r, budget, incumbent)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got[0].size, got[1], got[2]) == (want[0].size, want[1], want[2])
+                assert rf.is_rainbow_matching(inst, got[0])

@@ -203,6 +203,17 @@ def test_find_blocking_family_r2_cycle_seed():
     assert bf.certified_max < 3
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_find_blocking_family_r2_one_above_n_is_a_truncated_cycle(n):
+    # n <= t, so the cycle truncation is the first candidate, and it is
+    # blocked at t = n + 1; the K4 union (n odd, t = n + 1) never runs
+    bf = rf.find_blocking_family(2, n, n + 1)
+    assert bf is not None
+    assert bf.inst.meta["generator"] == "truncated-cycle"
+    assert [len(m) for m in bf.inst.matchings] == [n + 1] * n
+    assert bf.certified_max == n < bf.blocked_size
+
+
 def test_psz_composition_params_values():
     p = rf.psz_composition_params(3, 217)
     assert p == rf.PszParams(a=6, t=63, q=3, s=28, t_prime=91, bound=214)
