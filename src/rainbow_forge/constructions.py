@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .bounds import _domain, nth_root_floor
-from .core import Edge, Instance, Matching, make_edge, map_runs
+from .core import Edge, Instance, make_edge, map_runs
 from .solvers import exact_max_rainbow
 
 

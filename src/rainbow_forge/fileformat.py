@@ -14,19 +14,21 @@ whitespace and a value one line without surrounding whitespace; the
 serializer rejects any other, and an edge of other than r vertices,
 which could not be read back.
 
-The parser reads a matching's edge lines in bulk while they are in the
+The parser reads each matching's block, the text from the end of its
+``matching`` line to the next line that starts ``"matching "`` or to the
+end, by one rule.  A block that repeats the previous block exactly,
+when that one was read in one pass or shared in turn, shares its edges
+without reading their ids.  A block made only of edge lines in the
 form the serializer writes (two spaces, r ASCII-digit ids separated by
-single spaces, a newline): after a ``matching`` line one pattern takes the
-longest such run, and one ``int`` pass and one ``zip`` turn it into
-edges.  Every other line, and a run holding an id that ``int`` rejects,
-goes through the line loop, which gives every ``ParseError`` its text
-and line.  The format is the same either way.
+single spaces, a newline) is read in one pass: one pattern checks it,
+and one ``int`` pass and one ``zip`` turn it into edges.  Any other block, one holding an id that ``int`` rejects
+included, goes through the line loop, which gives every ``ParseError``
+its text and line.  The format is the same either way.
 
-Equal consecutive matchings load as one tuple.  A block that is
-exactly the text of the previous block, when that block was one bulk
-run, reuses its edges without reading their ids; any other block equal
-to the previous one is replaced by it once read.  The serializer
-renders the edge lines of each run of ``Instance.runs`` once.
+Equal consecutive matchings load as one tuple: a block equal to the
+previous one but not shared by the rule above is replaced by it once
+read.  The serializer renders the edge lines of each run of
+``Instance.runs`` once.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
@@ -112,8 +114,8 @@ _HEADERS = frozenset({"r", "n", "partition", "meta", "matching"})
 _BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE = re.compile(f"([^{_BOUNDARIES}]*)(?:\r\n|[{_BOUNDARIES}])?")
 
-# the longest run of edge lines of r ids as serialize_instance writes
-# them, given r - 1 (re keeps the patterns it has compiled)
+# one or more edge lines of r ids as serialize_instance writes them,
+# given r - 1 (re keeps the patterns it has compiled)
 _EDGE_RUN = "(?:  [0-9]+(?: [0-9]+){%d}\n)+"
 
 
@@ -132,43 +134,10 @@ def parse_instance(text: str) -> Instance:
     meta: dict[str, str] = {}
     matchings: list[list[tuple[int, ...]]] = []
     current: list[tuple[int, ...]] | None = None  # the last matching's edges
+    bulk: str | None = None  # the last matching's block, when read in one pass
     lineno = 0
     pos, end = 0, len(text)
-    run_pattern: re.Pattern[str] | None = None  # set by a matching line
-    # the text and line count of the last matching when its block is one
-    # bulk run and nothing else; the next matching shares its edges when
-    # its block is that text and nothing else, so a shared list is never
-    # appended to
-    last_run: str | None = None
-    last_lines = 0
-
-    def block_ends(at: int) -> bool:
-        return at == end or text.startswith("matching ", at)
-
     while pos < end:
-        if run_pattern is not None:
-            pattern, run_pattern = run_pattern, None
-            if last_run is not None and text.startswith(last_run, pos) and block_ends(pos + len(last_run)):
-                current = matchings[-1] = matchings[-2]
-                lineno += last_lines
-                pos += len(last_run)
-                continue
-            last_run = None
-            run = pattern.match(text, pos)
-            if run is not None:
-                block = run.group()
-                try:
-                    edges = list(zip(*[iter(map(int, block.split()))] * r))
-                except ValueError:
-                    pass  # an id past int's digit limit: the line loop reports it
-                else:
-                    current.extend(edges)
-                    newlines = block.count("\n")
-                    lineno += newlines
-                    pos = run.end()
-                    if block_ends(pos):
-                        last_run, last_lines = block, newlines
-                    continue
         line = _LINE.match(text, pos)
         raw = line.group(1)
         pos = line.end()
@@ -232,11 +201,32 @@ def parse_instance(text: str) -> Instance:
                     f"matching indices must be sequential, expected {len(matchings)} got {idx}",
                     lineno,
                 )
-            current = []
+            # the block runs from here to the next line that starts
+            # "matching ", or to the end.  One equal to the last block read
+            # in bulk shares its edges (it ends where the next matching
+            # starts, so a shared list is never appended to); one of edge
+            # lines only, as serialize_instance writes them, is read in one
+            # pass (a block ending at any boundary but "\n" fails the
+            # pattern); any other goes through the line loop
+            if bulk is not None and text.startswith(bulk, pos) and (
+                pos + len(bulk) == end or text.startswith("matching ", pos + len(bulk))
+            ):
+                current = matchings[-1]
+            else:
+                current, bulk = [], None
+                # a line of r ids takes at least 2r characters
+                if r is not None and 0 < 2 * r < end:
+                    stop = text.find("\nmatching ", pos) + 1 or end
+                    if re.compile(_EDGE_RUN % (r - 1)).fullmatch(text, pos, stop):
+                        bulk = text[pos:stop]
+                        try:
+                            current = list(zip(*[iter(map(int, bulk.split()))] * r))
+                        except ValueError:
+                            bulk = None  # an id past int's digit limit: the line loop reports it
             matchings.append(current)
-            # a line of r ids takes at least 2r characters
-            if r is not None and 0 < 2 * r < end:
-                run_pattern = re.compile(_EDGE_RUN % (r - 1))
+            if bulk is not None:
+                lineno += bulk.count("\n")
+                pos += len(bulk)
     if not version_seen:
         raise ParseError("empty document", max(lineno, 1))
     if r is None:

@@ -37,6 +37,46 @@ def test_random_instances_round_trip(seed, r, n, s):
     assert rf.serialize_instance(rf.parse_instance(text)) == text
 
 
+
+class _CountingLine:
+    """Stands in for ``fileformat._LINE``, counting the lines the line loop reads."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def match(self, text, pos):
+        self.calls += 1
+        return self.pattern.match(text, pos)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rf.ach_instance(3, 64),
+        lambda: rf.ach_instance(5, 32),
+        lambda: rf.k4_union_instance(41),
+        lambda: rf.cycle_instance(200),
+        lambda: rf.random_instance(3, 12, 12, seed=5),
+        lambda: rf.random_instance(2, 40, 40, seed=3),
+        lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2),
+        lambda: rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595),
+        lambda: rf.blowup_compose([rf.find_blocking_family(3, 4, 2, seed=1)] * 3),
+    ],
+    ids=["ach3-64", "ach5-32", "k4-41", "cycle200", "random3-12", "random2-40",
+         "lift-ach4-8", "lift-random3-300", "blowup3"],
+)
+def test_serialized_files_are_read_a_block_at_a_time(monkeypatch, build):
+    # every block the serializer writes is read in one pass or shared, so
+    # the line loop reads only the version, r, n, partition, meta and
+    # matching lines
+    inst = build()
+    text = rf.serialize_instance(inst)
+    counter = _CountingLine(rf.fileformat._LINE)
+    monkeypatch.setattr(rf.fileformat, "_LINE", counter)
+    assert rf.parse_instance(text) == inst
+    assert counter.calls == 3 + (inst.partition is not None) + len(inst.meta) + inst.n
+
 def test_meta_round_trips_with_spaces_in_values():
     meta = {"note": "two words", "seed": "3", "tab": "a\tb  c", "empty": ""}
     inst = rf.Instance(r=2, matchings=(((0, 1),),), meta=meta)
