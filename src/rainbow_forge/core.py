@@ -14,7 +14,9 @@ raises TypeError), and since a matching and a rainbow matching are
 sets, the edges of each matching are stored in lexicographic order and
 the pairs of an assignment in (colour, edge) order.  A matching that
 is already canonical (a tuple in that order of tuples of exact ints, as
-``parse_instance`` builds them) is kept as it is, not copied.  Vertex
+``parse_instance`` builds them) is kept as it is, not copied, and so is
+an assignment already in that order of exact-int pairs, as
+``parse_report`` builds it from a written report.  Vertex
 order inside an edge is kept as given and repeated edges are kept, so
 :func:`validate_instance` still reports them.  It checks the
 combinatorial invariants and reports violations as data instead of
@@ -94,6 +96,21 @@ def _is_canonical(m: Matching) -> bool:
     )
 
 
+def _is_canonical_assignment(pairs: object) -> bool:
+    """True when the ``RainbowMatching`` constructor would store ``pairs``
+    as they are: a tuple in (colour, edge) order of ``(colour, edge)``
+    tuples, each colour an exact int and each edge a tuple of them."""
+    return (
+        type(pairs) is tuple
+        and set(map(type, pairs)) <= {tuple}
+        and set(map(len, pairs)) <= {2}
+        and set(map(type, map(itemgetter(0), pairs))) <= {int}
+        and set(map(type, map(itemgetter(1), pairs))) <= {tuple}
+        and set(map(type, chain.from_iterable(map(itemgetter(1), pairs)))) <= {int}
+        and all(map(le, pairs, islice(pairs, 1, None)))
+    )
+
+
 @dataclass(frozen=True)
 class Instance:
     """A colour family: ``matchings[i]`` is colour ``i`` (0-based).
@@ -163,18 +180,20 @@ class RainbowMatching:
     """An injective colour-to-edge assignment; edges pairwise disjoint.
 
     ``assignment`` is a tuple of ``(colour, edge)`` pairs, stored sorted
-    by (colour, edge).  Validity against a concrete instance is decided
-    by :func:`is_rainbow_matching`.
+    by (colour, edge).  Pairs given as a tuple already in that order, of
+    ``(int, tuple of int)`` tuples (not ``bool`` or another subclass),
+    are stored as the same object; any other are converted and sorted.
+    Validity against a concrete instance is decided by
+    :func:`is_rainbow_matching`.
     """
 
     assignment: tuple[tuple[int, Edge], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "assignment",
-            tuple(sorted((index(c), tuple(map(index, e))) for c, e in self.assignment)),
-        )
+        pairs = self.assignment
+        if not _is_canonical_assignment(pairs):
+            pairs = tuple(sorted((index(c), tuple(map(index, e))) for c, e in pairs))
+        object.__setattr__(self, "assignment", pairs)
 
     @property
     def size(self) -> int:

@@ -21,14 +21,22 @@ when that one was read in one pass or shared in turn, shares its edges
 without reading their ids.  A block made only of edge lines in the
 form the serializer writes (two spaces, r ASCII-digit ids separated by
 single spaces, a newline) is read in one pass: one pattern checks it,
-and one ``int`` pass and one ``zip`` turn it into edges.  Any other block, one holding an id that ``int`` rejects
+and one ``int`` pass and one ``zip`` turn it into edges.  Such a block
+that ends on the same edge line as the previous block read in one pass,
+as every block of a dummy lift ends on its shared edges, is read
+through one table from edge line to edge, seeded with that previous
+block's lines: only its lines not yet in the table are checked and
+parsed, and every line maps to the table's one tuple.  The file of
+``dummy_lift(random_instance(3, 300, 5, 1), 595)`` then loads its
+180,000 edges as 1,282 tuples, 1.55 MiB kept after the parse instead
+of 24.8 MiB.  Any other block, one holding an id that ``int`` rejects
 included, goes through the line loop, which gives every ``ParseError``
 its text and line.  The format is the same either way.
 
 Equal consecutive matchings load as one tuple: a block equal to the
 previous one but not shared by the rule above is replaced by it once
-read.  The serializer renders the edge lines of each run of
-``Instance.runs`` once.
+read.  The serializer joins the edge lines of each run of
+``Instance.runs`` into one string, once.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
@@ -89,15 +97,17 @@ def serialize_instance(inst: Instance) -> str:
     edge_line = ("  " + " ".join(["%d"] * inst.r)).__mod__
     for matching, colours in inst.runs:
         try:
-            block = list(map(edge_line, matching))
+            block = "\n".join(map(edge_line, matching))
         except TypeError:
             raise ValueError(
                 f"matching {colours[0]} has an edge of other than {inst.r} vertices, not representable"
             ) from None
         for i in colours:
             lines.append(f"matching {i}")
-            lines.extend(block)
-    return "\n".join(lines) + "\n"
+            if matching:
+                lines.append(block)
+    lines.append("")  # the final newline, without copying the document again
+    return "\n".join(lines)
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -135,6 +145,7 @@ def parse_instance(text: str) -> Instance:
     matchings: list[list[tuple[int, ...]]] = []
     current: list[tuple[int, ...]] | None = None  # the last matching's edges
     bulk: str | None = None  # the last matching's block, when read in one pass
+    table: dict[str, tuple[int, ...]] | None = None  # edge line -> its one edge
     lineno = 0
     pos, end = 0, len(text)
     while pos < end:
@@ -207,22 +218,38 @@ def parse_instance(text: str) -> Instance:
             # starts, so a shared list is never appended to); one of edge
             # lines only, as serialize_instance writes them, is read in one
             # pass (a block ending at any boundary but "\n" fails the
-            # pattern); any other goes through the line loop
+            # pattern), through the table when it ends on the last block's
+            # last line; any other goes through the line loop
             if bulk is not None and text.startswith(bulk, pos) and (
                 pos + len(bulk) == end or text.startswith("matching ", pos + len(bulk))
             ):
                 current = matchings[-1]
             else:
-                current, bulk = [], None
+                previous, current, bulk = bulk, [], None
                 # a line of r ids takes at least 2r characters
                 if r is not None and 0 < 2 * r < end:
                     stop = text.find("\nmatching ", pos) + 1 or end
-                    if re.compile(_EDGE_RUN % (r - 1)).fullmatch(text, pos, stop):
-                        bulk = text[pos:stop]
-                        try:
-                            current = list(zip(*[iter(map(int, bulk.split()))] * r))
-                        except ValueError:
-                            bulk = None  # an id past int's digit limit: the line loop reports it
+                    block = text[pos:stop]
+                    edge_run = re.compile(_EDGE_RUN % (r - 1)).fullmatch
+                    # the previous block's last edge line starts after its
+                    # last "\n  " (or at its start); new lines are parsed once
+                    try:
+                        if previous is not None and block.endswith(
+                            previous[previous.rfind("\n  ") + 1 :]
+                        ):
+                            if table is None:
+                                table = dict(zip(previous.split("\n"), matchings[-1]))
+                            lines = block[:-1].split("\n")
+                            new = list(set(lines).difference(table))
+                            fresh = "\n".join(new) + "\n"
+                            if not new or edge_run(fresh):
+                                table.update(zip(new, zip(*[iter(map(int, fresh.split()))] * r)))
+                                current, bulk = list(map(table.__getitem__, lines)), block
+                        elif edge_run(block):
+                            current = list(zip(*[iter(map(int, block.split()))] * r))
+                            bulk = block
+                    except ValueError:
+                        pass  # an id past int's digit limit: the line loop reports it
             matchings.append(current)
             if bulk is not None:
                 lineno += bulk.count("\n")
@@ -297,12 +324,16 @@ def _int(value: Any) -> int:
 def _assignment(pairs: Any) -> RainbowMatching:
     """The ``[[colour, [vertex, ...]], ...]`` pairs as a rainbow matching;
     a colour or vertex that is not an int, a float or a bool included,
-    is a ValueError, found in one pass over the types."""
-    pairs = [(c, tuple(e)) for c, e in pairs]
-    ids = chain(map(itemgetter(0), pairs), chain.from_iterable(map(itemgetter(1), pairs)))
-    if not set(map(type, ids)) <= {int}:
-        raise ValueError("expected integer colours and vertex ids")
-    return RainbowMatching(tuple(pairs))
+    is a ValueError.  The constructor keeps pairs in canonical order as
+    they are only when every id is an exact int, so only other pairs
+    have their types checked here, in one pass."""
+    pairs = tuple((c, tuple(e)) for c, e in pairs)
+    matching = RainbowMatching(pairs)
+    if matching.assignment is not pairs:
+        ids = chain(map(itemgetter(0), pairs), chain.from_iterable(map(itemgetter(1), pairs)))
+        if not set(map(type, ids)) <= {int}:
+            raise ValueError("expected integer colours and vertex ids")
+    return matching
 
 
 def parse_report(text: str) -> ReportDoc:

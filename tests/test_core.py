@@ -164,10 +164,37 @@ def test_rainbow_matching_sorts_pairs_by_colour_then_edge():
     assert rm.assignment == ((0, (0, 2)), (0, (3, 1)), (2, (4, 5)))
 
 
+def test_rainbow_matching_keeps_a_canonical_assignment_as_it_is():
+    pairs = ((0, (0, 2)), (0, (3, 4)), (2, (1, 5)))
+    assert rf.RainbowMatching(pairs).assignment is pairs
+    assert rf.RainbowMatching(()).assignment == ()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((0, (0, 2)), (True, (3, 4))),
+        ((0, (0, 2)), (1, (_Int(3), 4))),
+        ((0, (0, 2)), (1, [3, 4])),
+        ((0, (0, 2)), [1, (3, 4)]),
+        [(0, (0, 2)), (1, (3, 4))],
+        ((0, (3, 4)), (0, (0, 2))),
+    ],
+    ids=["bool-colour", "int-subclass-vertex", "list-edge", "list-pair", "list", "unsorted"],
+)
+def test_rainbow_matching_normalises_a_non_canonical_assignment(pairs):
+    rm = rf.RainbowMatching(pairs)
+    assert rm.assignment == tuple(sorted((operator.index(c), tuple(map(operator.index, e))) for c, e in pairs))
+    assert rm.assignment is not pairs
+    assert all(type(c) is int and type(e) is tuple and {type(v) for v in e} == {int} for c, e in rm.assignment)
+
+
 @pytest.mark.parametrize(
     "build",
     [
         lambda: rf.RainbowMatching(((0, (0.2, 1.9)),)),
+        lambda: rf.RainbowMatching(((0, (0, 1)), (1, (2.0, 3)))),
+        lambda: rf.RainbowMatching(((0, (0, 1)), (1.0, (2, 3)))),
         lambda: rf.RainbowMatching(((0.0, (0, 1)),)),
         lambda: rf.RainbowMatching((("0", (0, 1)),)),
         lambda: rf.Instance(r=2, matchings=(((0, 1.0),),)),

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +79,25 @@ def test_serialized_files_are_read_a_block_at_a_time(monkeypatch, build):
     monkeypatch.setattr(rf.fileformat, "_LINE", counter)
     assert rf.parse_instance(text) == inst
     assert counter.calls == 3 + (inst.partition is not None) + len(inst.meta) + inst.n
+
+def test_dummy_lift_loads_one_edge_object_per_distinct_edge():
+    # every block ends on the lift's shared edges, so the blocks after the
+    # first are read through one line -> edge table: 300 matchings of 600
+    # edges load as 1,282 edge tuples, not 180,000
+    inst = rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595)
+    text = rf.serialize_instance(inst)
+    tracemalloc.start()
+    try:
+        parsed = rf.parse_instance(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == inst
+    assert rf.serialize_instance(parsed) == text
+    edges = [e for m, _ in parsed.runs for e in m]
+    assert len({id(e) for e in edges}) == len(set(edges)) == 1282
+    assert kept < 4 * 2**20
+
 
 def test_meta_round_trips_with_spaces_in_values():
     meta = {"note": "two words", "seed": "3", "tab": "a\tb  c", "empty": ""}
@@ -182,3 +204,23 @@ def test_report_round_trip():
 def test_parse_report_rejects_other_documents():
     with pytest.raises(ValueError):
         rf.parse_report("{\"format\": \"other\"}")
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[0, [0, 1, 2]], [True, [3, 4, 5]]],
+        [[0, [0, 1, 2]], [1, [3, 4, False]]],
+        [[0, [0, 1, 2]], [1, [3.0, 4, 5]]],
+        [[0, [0, 1, 2]], [1.5, [3, 4, 5]]],
+        [[0, [0, 1, 2]], [1, ["3", 4, 5]]],
+        [[0, [0, 1, 2]], ["1", [3, 4, 5]]],
+    ],
+    ids=["bool-colour", "bool-vertex", "float-vertex", "float-colour", "str-vertex", "str-colour"],
+)
+def test_parse_report_rejects_a_sorted_assignment_with_a_non_int_id(pairs):
+    # sorted like a written report, so only the types keep it from being canonical
+    payload = {"format": rf.fileformat.REPORT_FORMAT, "solver": "exact", "certificate": "heuristic",
+               "size": 2, "assignment": pairs}
+    with pytest.raises(ValueError, match="malformed 'assignment' field"):
+        rf.parse_report(json.dumps(payload))

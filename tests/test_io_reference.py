@@ -1,7 +1,8 @@
 """The fast instance checks and parser against their per-vertex references.
 
-Valid families (r 0..5, partitioned or not, some with a matching repeated
-right after itself) are corrupted in every way a violation code or a
+Valid families (r 0..5, partitioned or not, some lifted by shared edges
+appended to every matching, some with a matching repeated right after
+itself) are corrupted in every way a violation code or a
 parse error covers, and ``validate_instance`` and ``parse_instance``
 must agree with ``io_reference`` on the result: equal violation lists in
 equal order, equal ``ParseError`` text and line, and equal instances.
@@ -103,13 +104,14 @@ CORRUPTIONS = (
 
 @st.composite
 def families(draw):
-    """(r, matchings, partition): a valid family, maybe one matching
-    repeated right after itself, then 0 to 3 corruptions.
+    """(r, matchings, partition): a valid family, maybe lifted by up to
+    two shared edges and one matching repeated right after itself, then
+    0 to 3 corruptions.
 
     Part ``p`` holds the vertices ``relabel[q * r + p]``, and the edges of
     a matching take distinct vertices from every part, so the family is
-    valid before it is corrupted.  The repeat is a copy, so a corruption
-    can hit one of the two alone.
+    valid before it is corrupted.  The lifted edges and the repeat are
+    copies, so a corruption can hit one of them alone.
     """
     rnd = draw(st.randoms(use_true_random=False))
     r = draw(st.integers(0, 5))
@@ -123,6 +125,12 @@ def families(draw):
         k = rnd.randint(0, PER_PART)
         rows = [rnd.sample(range(PER_PART), k) for _ in range(r)]
         matchings.append([sorted(relabel[rows[p][i] * r + p] for p in range(r)) for i in range(k)])
+    # a dummy lift: fresh disjoint edges, part p of each on a new vertex
+    # of part p, appended to every matching as copies
+    tail = [[len(part) + k * r + p for p in range(r)] for k in range(draw(st.integers(0, 2)))]
+    part += [p for _ in tail for p in range(r)]
+    for m in matchings:
+        m.extend(list(e) for e in tail)
     if not draw(st.booleans()):
         part = None
     if matchings and draw(st.booleans()):
@@ -237,6 +245,13 @@ _BLOCKS = (
 _REPEATED = "rainbow-forge/1\nr 3\nn 3\n" + "".join(
     f"matching {i}\n  0 1 2\n  3 4 5\n" for i in range(3)
 )
+# every block ends on the line "  9 10 11", so matchings 1 and 2 are read
+# through the line -> edge table; the cases below give a block a new line
+# the table path must reject as the line loop does, break the shared
+# tail, or put an odd line between or inside such blocks
+_SHARED_TAIL = "rainbow-forge/1\nr 3\nn 3\n" + "".join(
+    f"matching {i}\n  {line}\n  9 10 11\n" for i, line in enumerate(["0 1 2", "3 4 5", "6 7 8"])
+)
 _BOUNDARY_CASES = {
     "comment": _BLOCKS + "# 7 8 9\n  7 8 9\n",
     "tab-indented": _BLOCKS + "\t7 8 9\n  10 11 12\n",
@@ -271,6 +286,19 @@ _BOUNDARY_CASES = {
     "5000-digit-id-between-repeats": _REPEATED.replace(
         "matching 1\n  0 1 2\n  3 4 5\n", "matching 1\n  0 1 2\n  3 4 " + "5" * 5000 + "\n"
     ),
+    "shared-tail": _SHARED_TAIL,
+    "shared-tail-5000-digit-id": _SHARED_TAIL.replace("  6 7 8\n", "  6 7 " + "8" * 5000 + "\n"),
+    "shared-tail-wrong-arity": _SHARED_TAIL.replace("  3 4 5\n", "  3 4 5 6\n"),
+    "shared-tail-tab-indented": _SHARED_TAIL.replace("  3 4 5\n", "\t3 4 5\n"),
+    "shared-tail-no-final-newline": _SHARED_TAIL.removesuffix("\n"),
+    "shared-tail-comment-between": _SHARED_TAIL.replace("matching 2\n", "# note\nmatching 2\n"),
+    "shared-tail-comment-inside": _SHARED_TAIL.replace("matching 1\n", "matching 1\n# note\n"),
+    "shared-tail-blank-inside": _SHARED_TAIL.replace("matching 1\n", "matching 1\n\n"),
+    "shared-tail-crlf-inside": _SHARED_TAIL.replace("  3 4 5\n", "  3 4 5\r\n"),
+    "shared-tail-known-lines-only": _SHARED_TAIL.replace("  6 7 8\n", "  0 1 2\n"),
+    "shared-tail-then-intersecting-edge": _SHARED_TAIL.replace("  6 7 8\n", "  6 7 11\n"),
+    "shared-tail-repeated": _SHARED_TAIL.replace("  6 7 8\n", "  3 4 5\n"),
+    "shared-tail-empty-block": _SHARED_TAIL.replace("matching 1\n  3 4 5\n  9 10 11\n", "matching 1\n"),
 }
 
 
@@ -304,6 +332,13 @@ def test_equal_consecutive_blocks_load_as_one_matching(name, distinct):
     inst = rf.parse_instance(_BOUNDARY_CASES[name])
     assert len({id(m) for m in inst.matchings}) == distinct
     assert inst.matchings[0] is inst.matchings[1]
+
+
+def test_blocks_that_end_on_one_line_share_its_edges():
+    inst = rf.parse_instance(_BOUNDARY_CASES["shared-tail"])
+    assert inst.matchings[0][-1] is inst.matchings[1][-1] is inst.matchings[2][-1]
+    again = rf.parse_instance(_BOUNDARY_CASES["shared-tail-known-lines-only"])
+    assert again.matchings[2][0] is again.matchings[0][0]
 
 
 def test_shared_skips_a_matching_with_no_other_non_empty_edge():
