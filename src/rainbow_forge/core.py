@@ -32,13 +32,23 @@ done once per run, which for these families is once per distinct
 matching: the constructor's check and copy, :func:`map_runs`,
 :func:`validate_instance` on a valid matching, ``serialize_instance``'s
 edge lines and the exact solver's colour-class table.
+
+Distinct matchings may share edge objects too: ``dummy_lift`` appends
+the same fresh edges to every matching.  ``Instance.tails`` records,
+per run, how many trailing edges are the same objects as the previous
+run's; those form the run's shared tail and the rest its head.  The
+constructor's check, :func:`validate_instance` on a valid family,
+``serialize_instance`` and ``Instance.vertices`` then do per-run work
+on the head only, and the tail's work once while its length stays the
+same.  A family that shares no edge, such as a random one, has tails
+of 0, found at its first edge.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import index, is_not, itemgetter, le, lt
 from typing import Callable, Iterable, Mapping
 
@@ -79,9 +89,11 @@ def map_runs(f: Callable[[Matching], Matching], runs: Iterable[Run]) -> tuple[Ma
     return tuple(chain.from_iterable(repeat(f(m), len(colours)) for m, colours in runs))
 
 
-def _canonical(m: Matching) -> Matching:
-    """``m`` when it is canonical, else its sorted copy of exact ints."""
-    return m if _is_canonical(m) else tuple(tuple(map(index, e)) for e in sorted(m))
+def _shared_tail(m: Matching, prev: Matching) -> int:
+    """The number of trailing edges ``m`` holds as the same objects as
+    ``prev``, found by a reverse scan that stops at the first edge that
+    is not shared."""
+    return next(compress(count(), map(is_not, reversed(m), reversed(prev))), min(len(m), len(prev)))
 
 
 def _is_canonical(m: Matching) -> bool:
@@ -133,7 +145,13 @@ class Instance:
     ``runs`` is derived, not a parameter: ``(matching, colours)`` for
     each maximal run of consecutive colours holding one stored object,
     in colour order, so the ranges cover ``range(n)`` and adjacent runs
-    hold different objects.  It takes no part in equality or the repr.
+    hold different objects.  ``tails`` is derived too: ``tails[i]`` is
+    the number of trailing edges that run i's stored matching holds as
+    the same objects as run i - 1's, its shared tail; the rest is its
+    head.  It is 0 for run 0 and after a copied matching, and the
+    constructor tests only the head and the first tail edge of a run
+    whose predecessor it kept.  Neither takes part in equality or the
+    repr.
     """
 
     r: int
@@ -141,6 +159,7 @@ class Instance:
     partition: tuple[int, ...] | None = None
     meta: Mapping[str, str] = field(default_factory=dict)
     runs: tuple[Run, ...] = field(init=False, compare=False, repr=False)
+    tails: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         given = tuple(self.matchings)
@@ -148,9 +167,25 @@ class Instance:
         # colour's (colour 0 is compared with a fresh object)
         starts = list(compress(range(len(given)), map(is_not, given, (object(), *given))))
         colours = map(range, starts, [*starts[1:], len(given)])
-        runs = tuple(zip(map(_canonical, map(given.__getitem__, starts)), colours))
+        stored: list[Matching] = []
+        tails: list[int] = []
+        kept: Matching | None = None  # the previous run's matching, when stored as given
+        copied = False
+        for m in map(given.__getitem__, starts):
+            # a tail shared with a kept matching is canonical already: only
+            # the head and the first tail edge, its boundary, are tested
+            k = _shared_tail(m, kept) if kept and type(m) is tuple and m and m[-1] is kept[-1] else 0
+            if type(m) is tuple and _is_canonical(m[: len(m) - k + 1]):
+                kept = m
+            else:
+                m, k, kept, copied = tuple(tuple(map(index, e)) for e in sorted(m)), 0, None, True
+            stored.append(m)
+            tails.append(k)
+        runs = tuple(zip(stored, colours))
         object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "matchings", map_runs(lambda m: m, runs))
+        object.__setattr__(self, "tails", tuple(tails))
+        # colours of a kept run already hold its stored object
+        object.__setattr__(self, "matchings", map_runs(lambda m: m, runs) if copied else given)
         if self.partition is not None:
             object.__setattr__(self, "partition", tuple(map(index, self.partition)))
         object.__setattr__(self, "meta", {str(k): str(v) for k, v in dict(self.meta).items()})
@@ -161,7 +196,12 @@ class Instance:
         return len(self.matchings)
 
     def vertices(self) -> set[int]:
-        return set(chain.from_iterable(chain.from_iterable(map(itemgetter(0), self.runs))))
+        # a run's shared tail lies among the previous run's edges, so the
+        # heads (run 0 whole) hold every vertex
+        heads = map(itemgetter(0), self.runs)
+        if any(self.tails):
+            heads = (m[: len(m) - k] for m, k in zip(heads, self.tails))
+        return set(chain.from_iterable(chain.from_iterable(heads)))
 
     def vertex_count(self) -> int:
         """Vertices are allocated densely from 0; the count is the
@@ -247,7 +287,11 @@ def validate_instance(inst: Instance) -> list[Violation]:
     builtins; only a matching that fails goes through the per-edge pass,
     which is the only code that reports its violations, in edge order.
     The whole-matching check runs once per run of ``inst.runs``; an
-    invalid matching is reported under every colour of its run.
+    invalid matching is reported under every colour of its run.  After
+    a run that passed, a run's shared tail (``inst.tails``) is valid
+    already: only its head is checked, and its head's vertices tested
+    against the tail's, whose set is reused while the tail length stays
+    the same.  A run that fails is checked edge by edge in full.
     """
     out: list[Violation] = []
     r = inst.r
@@ -264,10 +308,22 @@ def validate_instance(inst: Instance) -> list[Violation]:
                     out.append(
                         Violation("partition-part", f"vertex {v} assigned part {p}, expected 0..{r - 1}")
                     )
-    for matching, colours in inst.runs:
-        # with a part out of range only the per-edge pass tells which edges it spoils
-        if (part is None or bits is not None) and _matching_is_valid(matching, r, bits):
-            continue
+    # with a part out of range only the per-edge pass tells which edges it spoils
+    checked = part is None or bits is not None
+    passed = False  # the previous run passed, so its edges are valid
+    tail_len, tail_vertices = 0, set()  # the previous run's trusted tail
+    for (matching, colours), t in zip(inst.runs, inst.tails):
+        if checked:
+            t = t if passed else 0
+            if t != tail_len:
+                # a tail as long as the previous run's is that tail
+                tail_len, tail_vertices = t, set(chain.from_iterable(matching[len(matching) - t :]))
+            head = matching[: len(matching) - t]
+            passed = _matching_is_valid(head, r, bits) and (
+                not t or tail_vertices.isdisjoint(chain.from_iterable(head))
+            )
+            if passed:
+                continue
         for j in colours:
             owner: dict[int, int] = {}
             for k, e in enumerate(matching):

@@ -35,8 +35,10 @@ its text and line.  The format is the same either way.
 
 Equal consecutive matchings load as one tuple: a block equal to the
 previous one but not shared by the rule above is replaced by it once
-read.  The serializer joins the edge lines of each run of
-``Instance.runs`` into one string, once.
+read.  The serializer renders the edge lines of each run of
+``Instance.runs`` once, as two strings: its head's, and its shared
+tail's (``Instance.tails``), which is reused while the tail's length
+stays the same, so a dummy lift's shared edges are rendered once.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
@@ -94,20 +96,32 @@ def serialize_instance(inst: Instance) -> str:
         if len(value.splitlines()) > 1 or value != value.strip():
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
-    edge_line = ("  " + " ".join(["%d"] * inst.r)).__mod__
-    for matching, colours in inst.runs:
+    edge_line = _edge_line(inst.r)
+    tail_len, tail = 0, ""  # the previous run's shared tail length and its lines
+    for (matching, colours), k in zip(inst.runs, inst.tails):
         try:
-            block = "\n".join(map(edge_line, matching))
+            if k != tail_len:
+                # a tail as long as the previous run's is that tail
+                tail_len, tail = k, "\n".join(map(edge_line, matching[len(matching) - k :]))
+            head = "\n".join(map(edge_line, matching[: len(matching) - k]))
         except TypeError:
             raise ValueError(
                 f"matching {colours[0]} has an edge of other than {inst.r} vertices, not representable"
             ) from None
         for i in colours:
             lines.append(f"matching {i}")
-            if matching:
-                lines.append(block)
+            if head:
+                lines.append(head)
+            if k:
+                lines.append(tail)
     lines.append("")  # the final newline, without copying the document again
     return "\n".join(lines)
+
+
+def _edge_line(r: int) -> Callable[[tuple[int, ...]], str]:
+    """The formatter of one edge line of r ids; an edge of other than r
+    vertices makes it raise TypeError."""
+    return ("  " + " ".join(["%d"] * r)).__mod__
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:

@@ -280,6 +280,15 @@ def test_runs_follow_the_objects_not_equality():
     assert shared == unshared and repr(shared) == repr(unshared)
 
 
+def test_matchings_are_the_given_tuple_unless_a_matching_is_copied():
+    given = rf.cycle_instance(5).matchings
+    assert rf.Instance(2, given).matchings is given
+    # a list is copied, so the colours are gathered again from the runs
+    mixed = (*given[:-1], list(given[-1]))
+    assert rf.Instance(2, mixed).matchings is not mixed
+    assert rf.Instance(2, mixed).matchings == given
+
+
 @pytest.mark.parametrize(
     "build",
     [
