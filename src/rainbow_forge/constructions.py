@@ -240,7 +240,9 @@ def random_instance(r: int, n: int, s: int, seed: int | None = None) -> Instance
     matchings = []
     for _ in range(n):
         chosen = rng.sample(pool, r * s)
-        matchings.append(tuple(make_edge(chosen[i * r : (i + 1) * r]) for i in range(s)))
+        # edges of r consecutive draws, built in the order the constructor
+        # stores them, so it keeps the tuple
+        matchings.append(tuple(sorted(map(tuple, map(sorted, zip(*[iter(chosen)] * r))))))
     return Instance(
         r=r,
         matchings=tuple(matchings),

@@ -21,17 +21,26 @@ when that one was read in one pass or shared in turn, shares its edges
 without reading their ids.  A block made only of edge lines in the
 form the serializer writes (two spaces, r ASCII-digit ids separated by
 single spaces, a newline) is read in one pass: one pattern checks it,
-and one ``int`` pass and one ``zip`` turn it into edges.  Such a block
-that ends on the same edge line as the previous block read in one pass,
-as every block of a dummy lift ends on its shared edges, is read
-through one table from edge line to edge, seeded with that previous
-block's lines: only its lines not yet in the table are checked and
-parsed, and every line maps to the table's one tuple.  The file of
-``dummy_lift(random_instance(3, 300, 5, 1), 595)`` then loads its
-180,000 edges as 1,282 tuples, 1.55 MiB kept after the parse instead
-of 24.8 MiB.  Any other block, one holding an id that ``int`` rejects
-included, goes through the line loop, which gives every ``ParseError``
-its text and line.  The format is the same either way.
+one ``json.loads`` of its ids joined by commas converts them in C, and
+one ``zip`` turns them into edges.  Such a block that ends on the same
+edge line as the previous block read in one pass, as every block of a
+dummy lift ends on its shared edges, shares the longest run of whole
+lines that ends both blocks, and loads it as the previous matching's
+last edges, the same objects, without splitting it.  The run is the
+one the last such pair shared when a line break precedes it in both
+blocks (two ``endswith`` tests), else the common suffix found by a
+binary search of ``endswith`` tests, cut at its first line start.  The
+lines before the run, the block's head, are read through one table
+from edge line to edge, seeded with the first such previous block's
+lines: only the head lines not yet in the table are checked and
+parsed, and every head line maps to the table's one tuple.  The file
+of ``dummy_lift(random_instance(3, 300, 5, 1), 595)`` then splits and
+looks up 5 lines of each block, not 600, and loads its 180,000 edges
+as 1,282 tuples, 1.55 MiB kept after the parse instead of 24.8 MiB.
+Any other block, one holding an id with a leading zero, which JSON
+rejects, or past ``int``'s digit limit included, goes through the line
+loop, which gives every ``ParseError`` its text and line.  The format
+is the same either way.
 
 Equal consecutive matchings load as one tuple: a block equal to the
 previous one but not shared by the rule above is replaced by it once
@@ -143,6 +152,32 @@ _LINE = re.compile(f"([^{_BOUNDARIES}]*)(?:\r\n|[{_BOUNDARIES}])?")
 _EDGE_RUN = "(?:  [0-9]+(?: [0-9]+){%d}\n)+"
 
 
+def _ids(run: str) -> list[int]:
+    """The ids of edge lines that ``_EDGE_RUN`` matched, converted by
+    ``json`` in one C-level pass; an id with a leading zero, which JSON
+    rejects, or past ``int``'s digit limit raises ValueError."""
+    return json.loads("[" + run[2:-1].replace("\n  ", ",").replace(" ", ",") + "]")
+
+
+def _shared_lines(a: str, b: str) -> int:
+    """The length of the longest run of whole lines that ends both ``a``
+    and ``b``: their longest common suffix, found by binary search, then
+    cut at its first line start when it does not start a line in both."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.endswith(b[len(b) - mid :]):
+            lo = mid
+        else:
+            hi = mid - 1
+    i, j = len(a) - lo, len(b) - lo
+    if (i == 0 or a[i - 1] == "\n") and (j == 0 or b[j - 1] == "\n"):
+        return lo
+    # the suffix is common, so a "\n" inside it ends a line in both
+    nl = a.find("\n", i)
+    return len(a) - nl - 1 if nl >= 0 else 0
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the documented format; reject invariant violations.
 
@@ -160,6 +195,7 @@ def parse_instance(text: str) -> Instance:
     current: list[tuple[int, ...]] | None = None  # the last matching's edges
     bulk: str | None = None  # the last matching's block, when read in one pass
     table: dict[str, tuple[int, ...]] | None = None  # edge line -> its one edge
+    hint = ""  # "\n" and the whole lines the last two table-path blocks shared
     lineno = 0
     pos, end = 0, len(text)
     while pos < end:
@@ -246,27 +282,42 @@ def parse_instance(text: str) -> Instance:
                     block = text[pos:stop]
                     edge_run = re.compile(_EDGE_RUN % (r - 1)).fullmatch
                     # the previous block's last edge line starts after its
-                    # last "\n  " (or at its start); new lines are parsed once
+                    # last "\n  " (or at its start); the whole lines both
+                    # blocks end on are the previous matching's last edges,
+                    # and only the lines before them are looked up, and
+                    # parsed once when new
                     try:
                         if previous is not None and block.endswith(
                             previous[previous.rfind("\n  ") + 1 :]
                         ):
                             if table is None:
                                 table = dict(zip(previous.split("\n"), matchings[-1]))
-                            lines = block[:-1].split("\n")
+                            # the last pair's shared lines when a "\n" ends
+                            # the head in both blocks, else the longest run
+                            if hint and block.endswith(hint) and previous.endswith(hint):
+                                shared = len(hint) - 1
+                            else:
+                                shared = _shared_lines(block, previous)
+                                hint = "\n" + block[len(block) - shared :] if shared else ""
+                            before = matchings[-1]  # the previous block's edges
+                            k = len(before) - previous.count("\n", 0, len(previous) - shared)
+                            lines = block[: len(block) - shared].split("\n")
+                            lines.pop()  # the text after the head's last "\n"
                             new = list(set(lines).difference(table))
                             fresh = "\n".join(new) + "\n"
                             if not new or edge_run(fresh):
-                                table.update(zip(new, zip(*[iter(map(int, fresh.split()))] * r)))
-                                current, bulk = list(map(table.__getitem__, lines)), block
+                                table.update(zip(new, zip(*[iter(_ids(fresh))] * r)))
+                                current = list(map(table.__getitem__, lines))
+                                current += before[len(before) - k :]
+                                bulk = block
                         elif edge_run(block):
-                            current = list(zip(*[iter(map(int, block.split()))] * r))
+                            current = list(zip(*[iter(_ids(block))] * r))
                             bulk = block
                     except ValueError:
-                        pass  # an id past int's digit limit: the line loop reports it
+                        pass  # a leading zero or an id past int's digit limit
             matchings.append(current)
             if bulk is not None:
-                lineno += bulk.count("\n")
+                lineno += len(current)  # one edge per line
                 pos += len(bulk)
     if not version_seen:
         raise ParseError("empty document", max(lineno, 1))

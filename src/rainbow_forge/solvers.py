@@ -88,9 +88,9 @@ import time
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Edge, Instance, Matching, RainbowMatching, is_rainbow_matching
+from .core import Edge, Instance, Matching, RainbowMatching, Run, is_rainbow_matching, map_runs
 
 CERT_EXACT = "exact-optimum"
 CERT_LOCAL = "local-optimum"
@@ -869,6 +869,19 @@ def chernoff_tail(n_trials: int, p, epsilon) -> decimal.Decimal:
         return 2 * x.exp()
 
 
+def _kept_runs(inst: Instance, keep: Callable[[Edge], bool]) -> Iterator[Run]:
+    """``(edges, colours)`` for each run of ``inst.runs``: the edges of
+    its matching for which ``keep`` holds, in order.  Each run's head is
+    filtered, and its shared tail (``inst.tails``) once while the tail's
+    length stays the same: a tail as long as the previous run's is that
+    tail."""
+    tail_len, tail = 0, ()
+    for (m, colours), k in zip(inst.runs, inst.tails):
+        if k != tail_len:
+            tail_len, tail = k, tuple(filter(keep, m[len(m) - k :]))
+        yield tuple(filter(keep, m[: len(m) - k])) + tail, colours
+
+
 def sample_and_extend(
     inst: Instance,
     *,
@@ -889,7 +902,10 @@ def sample_and_extend(
     The per-colour conditions are checked in exact integer arithmetic.
     At small n they routinely fail (the guarantees are asymptotic); the
     solve still runs on the final sample, so trivially extendable
-    instances succeed regardless.
+    instances succeed regardless.  Both the conditions and the
+    restricted instance read each run of ``inst.runs`` once, a shared
+    tail once while its length stays the same (:func:`_kept_runs`), and
+    the colours of a run share one restricted matching.
     """
     n = inst.n
     t0 = time.perf_counter()
@@ -909,10 +925,11 @@ def sample_and_extend(
         # one draw per vertex, in sorted order
         sample = {v for v in vertices if rng.random() < p_eff}
         ok = True
-        for es in inst.matchings:
-            inside = sum(1 for e in es if sample.issuperset(e))
-            off = sum(1 for e in es if sample.isdisjoint(e))
-            if inside * inside < inside_needed_sq or 2 * off < (r + 1) * n:
+        # the colours of a run hold one matching, so one test covers them
+        for (inside, _), (off, _) in zip(
+            _kept_runs(inst, sample.issuperset), _kept_runs(inst, sample.isdisjoint)
+        ):
+            if len(inside) ** 2 < inside_needed_sq or 2 * len(off) < (r + 1) * n:
                 ok = False
                 break
         if ok:
@@ -921,7 +938,7 @@ def sample_and_extend(
 
     restricted = Instance(
         r=inst.r,
-        matchings=tuple(tuple(e for e in es if sample.isdisjoint(e)) for es in inst.matchings),
+        matchings=map_runs(lambda m: m, _kept_runs(inst, sample.isdisjoint)),
         partition=inst.partition,
         meta={**inst.meta, "restricted": "off-sample"},
     )

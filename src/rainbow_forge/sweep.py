@@ -28,7 +28,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -390,6 +389,10 @@ def run_sweep(
         groups.setdefault(spec.instance_id, []).append(i)
     tasks = [([cells[i] for i in group], str(root)) for group in groups.values()]
     if jobs > 1 and len(tasks) > 1:
+        # imported here: a sweep in one process, and every other command,
+        # does without the process pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_instance, tasks))
     else:

@@ -99,6 +99,27 @@ def test_dummy_lift_loads_one_edge_object_per_distinct_edge():
     assert kept < 4 * 2**20
 
 
+def test_dummy_lift_reads_its_shared_lines_once(monkeypatch):
+    # each block ends on the lines the block before ends on, 595 shared
+    # edges and maybe a head edge; only the lines before them are split
+    # and looked up in the line -> edge table: 299 heads of 5 lines, not
+    # 299 blocks of 600
+    lookups = []
+
+    class CountingTable(dict):
+        def __getitem__(self, line):
+            lookups.append(line)
+            return super().__getitem__(line)
+
+    inst = rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595)
+    text = rf.serialize_instance(inst)
+    monkeypatch.setattr(rf.fileformat, "dict", CountingTable, raising=False)
+    parsed = rf.parse_instance(text)
+    assert parsed == inst
+    assert 299 * 5 <= len(lookups) <= 5_000
+    assert all(k >= 595 for k in parsed.tails[1:])
+
+
 def test_meta_round_trips_with_spaces_in_values():
     meta = {"note": "two words", "seed": "3", "tab": "a\tb  c", "empty": ""}
     inst = rf.Instance(r=2, matchings=(((0, 1),),), meta=meta)

@@ -12,6 +12,7 @@ package checks a valid shared one and reads a repeated block once.
 
 from __future__ import annotations
 
+import operator
 import random
 
 import pytest
@@ -302,9 +303,134 @@ _BOUNDARY_CASES = {
 }
 
 
+def _document(r, blocks):
+    return f"rainbow-forge/1\nr {r}\nn {len(blocks)}\n" + "".join(
+        f"matching {i}\n{block}" for i, block in enumerate(blocks)
+    )
+
+
+# blocks that end on whole lines of the block before, which are read as
+# that block's last edges without splitting them again
+_TAIL = "  90 91 92\n  93 94 95\n"
+_SHARED_LINES_CASES = {
+    # the run matched on the last pair must end the previous block too:
+    # matching 2 goes through the line loop, so matching 3 is read in one
+    # pass with only the last line of the run, and matching 4 shares that
+    # one line with it, not the two it ends on
+    "stale-hint": _document(3, [
+        "  0 1 2\n" + _TAIL, "  3 4 5\n" + _TAIL, "# note\n  6 7 8\n",
+        "  9 10 11\n  93 94 95\n", "  12 13 14\n" + _TAIL,
+    ]),
+    # the common suffix "2 3\n  93 94 95\n" starts inside a line in both
+    "suffix-starts-mid-line": _document(3, ["  12 2 3\n  93 94 95\n", "  1 2 3\n  93 94 95\n"]),
+    # "  1 2 3\n..." is all of matching 0 but starts after "  4" in matching 1
+    "suffix-starts-a-line-in-one-block": _document(3, [
+        "  1 2 3\n  93 94 95\n", "  4  1 2 3\n  93 94 95\n",
+    ]),
+    # a line of one id too many that ends as the previous block's line
+    "longer-line-ends-as-the-previous-line": _document(2, ["  1 2\n  93 94\n", "  4 1 2\n  93 94\n"]),
+    # matching 1 is the text of matching 0 from inside its first line on
+    "block-starts-inside-a-line-of-the-previous": _document(2, ["  12 3\n  93 94\n", "2 3\n  93 94\n"]),
+    "block-is-a-suffix-of-the-previous": _document(3, ["  0 1 2\n" + _TAIL, _TAIL, "  93 94 95\n"]),
+    "previous-is-a-suffix-of-the-block": _document(3, ["  93 94 95\n", _TAIL, "  0 1 2\n" + _TAIL]),
+    "suffix-then-prefix": _document(3, ["  0 1 2\n" + _TAIL, _TAIL, "  3 4 5\n" + _TAIL]),
+    "leading-zero-in-a-bulk-block": _document(3, ["  0 1 2\n  03 4 5\n"]),
+    "leading-zero-in-a-new-line": _document(3, ["  0 1 2\n" + _TAIL, "  03 4 5\n" + _TAIL]),
+    "leading-zero-in-a-run": _document(3, ["  0 1 2\n  90 91 092\n", "  3 4 5\n  90 91 092\n"]),
+    "zero-id": _document(3, ["  0 1 2\n" + _TAIL, "  0 4 5\n" + _TAIL]),
+    "5000-digit-id-in-a-new-line": _document(3, ["  0 1 2\n" + _TAIL, "  3 4 " + "5" * 5000 + "\n" + _TAIL]),
+}
+_BOUNDARY_CASES.update(_SHARED_LINES_CASES)
+
+
 @pytest.mark.parametrize("text", _BOUNDARY_CASES.values(), ids=_BOUNDARY_CASES.keys())
 def test_parse_instance_at_the_edge_of_a_bulk_run(text):
     assert _outcome(rf.parse_instance, text) == _outcome(io_reference.parse_instance, text)
+
+
+def _line_pool(rnd: random.Random, r: int) -> list[str]:
+    """Twelve edge lines of r ids below 40, one id of them maybe written
+    with a leading zero: lines of one block may share vertices, and the
+    texts of two lines may end alike."""
+    pool = ["  " + " ".join(map(str, sorted(rnd.sample(range(40), r)))) for _ in range(12)]
+    if rnd.random() < 0.3:
+        i = rnd.randrange(12)
+        pool[i] = pool[i].replace("  ", "  0", 1)
+    return pool
+
+
+@st.composite
+def shared_line_documents(draw):
+    """A document of 2 to 19 blocks of r ids per line, most of them
+    ending on lines of the block before: a lift's head and tail, part or
+    all of the previous block, a block that holds the previous one whole,
+    the previous block's text from inside its first line, a block the line
+    loop reads (a comment, a corrupted line, a line that ends like
+    another) and one read in one pass after it, so the shared-line path
+    meets every kind of block before and after it."""
+    rnd = draw(st.randoms(use_true_random=False))
+    r = draw(st.integers(2, 3))
+    pool = _line_pool(rnd, r)
+    tail = rnd.sample(pool, draw(st.integers(1, 3)))
+    blocks = [rnd.sample(pool, draw(st.integers(0, 3))) + tail]
+    kinds = st.sampled_from(("lift", "break", "suffix", "holds", "repeat", "cut", "odd"))
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        prev = blocks[-1]
+        head = rnd.sample(pool, draw(st.integers(0, 3)))
+        if kind == "lift":
+            blocks.append(head + tail)
+        elif kind == "break":
+            # a block the line loop reads, one read in one pass that ends
+            # on part of the tail, then a lift again
+            blocks.append(head + ["# note"] + tail)
+            blocks.append(head[1:] + tail[draw(st.integers(0, len(tail) - 1)) :])
+            blocks.append(head[:1] + tail)
+        elif kind == "suffix":
+            blocks.append(prev[draw(st.integers(0, len(prev) - 1)) :])
+        elif kind == "holds":
+            blocks.append(head + prev)
+        elif kind == "repeat":
+            blocks.append(list(prev))
+        elif kind == "cut":
+            # the previous block's text from inside its first line
+            blocks.append([prev[0][draw(st.sampled_from([2, 3])) :], *prev[1:]])
+        else:
+            # a line prefixed, or cut and prefixed, so that its text ends
+            # as the previous block's line does
+            block = list(prev)
+            i = draw(st.integers(0, len(block) - 1))
+            prefix = draw(st.sampled_from(["  1", "  4 ", "  4", "\t", "  x", " "]))
+            block[i] = prefix + block[i][draw(st.sampled_from([0, 2, 3])) :]
+            blocks.append(block)
+    return r, [("\n".join(b) + "\n") if b else "" for b in blocks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(shared_line_documents())
+def test_blocks_that_share_lines_parse_as_the_reference(doc):
+    text = _document(*doc)
+    got = _outcome(rf.parse_instance, text)
+    assert got == _outcome(io_reference.parse_instance, text)
+    if got[0] == "ok":
+        assert rf.serialize_instance(got[1]) == rf.serialize_instance(io_reference.parse_instance(text))
+
+
+@pytest.mark.parametrize("name", _SHARED_LINES_CASES)
+def test_blocks_that_share_lines_serialize_as_the_reference(name):
+    text = _BOUNDARY_CASES[name]
+    got = _outcome(rf.parse_instance, text)
+    if got[0] == "ok":
+        assert rf.serialize_instance(got[1]) == rf.serialize_instance(io_reference.parse_instance(text))
+
+
+def test_shared_lines_are_the_previous_matchings_last_edges():
+    inst = rf.parse_instance(_BOUNDARY_CASES["stale-hint"])
+    m = inst.matchings
+    assert m[1][1:] == m[0][1:] and all(map(operator.is_, m[1][1:], m[0][1:]))
+    assert m[4][-1] is m[3][-1] and m[4][1] == (90, 91, 92)
+    inst = rf.parse_instance(_BOUNDARY_CASES["block-is-a-suffix-of-the-previous"])
+    assert inst.matchings[1] == inst.matchings[0][1:] and inst.matchings[1][0] is inst.matchings[0][1]
+    assert inst.matchings[2][0] is inst.matchings[0][2]
 
 
 def test_wrong_arity_after_bulk_blocks_names_its_line():
