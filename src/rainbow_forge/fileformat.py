@@ -18,29 +18,28 @@ The parser reads each matching's block, the text from the end of its
 ``matching`` line to the next line that starts ``"matching "`` or to the
 end, by one rule.  A block that repeats the previous block exactly,
 when that one was read in one pass or shared in turn, shares its edges
-without reading their ids.  A block made only of edge lines in the
-form the serializer writes (two spaces, r ASCII-digit ids separated by
-single spaces, a newline) is read in one pass: one pattern checks it,
-one ``json.loads`` of its ids joined by commas converts them in C, and
-one ``zip`` turns them into edges.  Such a block that ends on the same
-edge line as the previous block read in one pass, as every block of a
-dummy lift ends on its shared edges, shares the longest run of whole
-lines that ends both blocks, and loads it as the previous matching's
-last edges, the same objects, without splitting it.  The run is the
-one the last such pair shared when a line break precedes it in both
-blocks (two ``endswith`` tests), else the common suffix found by a
-binary search of ``endswith`` tests, cut at its first line start.  The
-lines before the run, the block's head, are read through one table
-from edge line to edge, seeded with the first such previous block's
-lines: only the head lines not yet in the table are checked and
-parsed, and every head line maps to the table's one tuple.  The file
-of ``dummy_lift(random_instance(3, 300, 5, 1), 595)`` then splits and
-looks up 5 lines of each block, not 600, and loads its 180,000 edges
-as 1,282 tuples, 1.55 MiB kept after the parse instead of 24.8 MiB.
-Any other block, one holding an id with a leading zero, which JSON
-rejects, or past ``int``'s digit limit included, goes through the line
-loop, which gives every ``ParseError`` its text and line.  The format
-is the same either way.
+without reading their ids.  Any other block is read in bulk by one
+rule.  When it ends on the same edge line as the previous block read
+in bulk, as every block of a dummy lift ends on its shared edges, it
+shares the longest run of whole lines that ends both blocks, and
+loads that run as the previous matching's last edges, the same
+objects, without splitting it.  The run is the one the last such pair
+shared when a line break precedes it in both blocks (two ``endswith``
+tests), else the common suffix found by a binary search of
+``endswith`` tests, cut at its first line start.  The rest of the
+block, its head (the whole block when it shares nothing), must be
+made only of edge lines in the form the serializer writes (two
+spaces, r ASCII-digit ids separated by single spaces, a newline), and
+is read in one pass: one pattern checks it, one ``json.loads`` of its
+ids joined by commas converts them in C, and one ``zip`` turns them
+into edges.  The file of ``dummy_lift(random_instance(3, 300, 5, 1),
+595)`` then converts 5 lines of each block after the first, not 600,
+and loads its 180,000 edges as 2,095 tuples, one per head edge,
+1.59 MiB kept after the parse instead of 24.8 MiB.  Any other block,
+one holding an id with a leading zero, which JSON rejects, or past
+``int``'s digit limit included, goes through the line loop, which
+gives every ``ParseError`` its text and line.  The format is the same
+either way.
 
 Equal consecutive matchings load as one tuple: a block equal to the
 previous one but not shared by the rule above is replaced by it once
@@ -194,8 +193,7 @@ def parse_instance(text: str) -> Instance:
     matchings: list[list[tuple[int, ...]]] = []
     current: list[tuple[int, ...]] | None = None  # the last matching's edges
     bulk: str | None = None  # the last matching's block, when read in one pass
-    table: dict[str, tuple[int, ...]] | None = None  # edge line -> its one edge
-    hint = ""  # "\n" and the whole lines the last two table-path blocks shared
+    hint = ""  # "\n" and the run of whole lines last shared between two blocks
     lineno = 0
     pos, end = 0, len(text)
     while pos < end:
@@ -265,11 +263,13 @@ def parse_instance(text: str) -> Instance:
             # the block runs from here to the next line that starts
             # "matching ", or to the end.  One equal to the last block read
             # in bulk shares its edges (it ends where the next matching
-            # starts, so a shared list is never appended to); one of edge
-            # lines only, as serialize_instance writes them, is read in one
-            # pass (a block ending at any boundary but "\n" fails the
-            # pattern), through the table when it ends on the last block's
-            # last line; any other goes through the line loop
+            # starts, so a shared list is never appended to).  Any other
+            # loads the whole lines it ends on in common with the last
+            # block read in bulk as that matching's last edges, and its
+            # head, the rest, is read in one pass when it holds edge lines
+            # only, as serialize_instance writes them (a block ending at
+            # any boundary but "\n" fails the pattern); a block that fails
+            # goes through the line loop
             if bulk is not None and text.startswith(bulk, pos) and (
                 pos + len(bulk) == end or text.startswith("matching ", pos + len(bulk))
             ):
@@ -280,38 +280,26 @@ def parse_instance(text: str) -> Instance:
                 if r is not None and 0 < 2 * r < end:
                     stop = text.find("\nmatching ", pos) + 1 or end
                     block = text[pos:stop]
-                    edge_run = re.compile(_EDGE_RUN % (r - 1)).fullmatch
-                    # the previous block's last edge line starts after its
-                    # last "\n  " (or at its start); the whole lines both
-                    # blocks end on are the previous matching's last edges,
-                    # and only the lines before them are looked up, and
-                    # parsed once when new
+                    shared, tail = 0, []
+                    # only a block that ends on the previous block's last
+                    # edge line, after its last "\n  " (or at its start),
+                    # can share lines with it
+                    if previous is not None and block.endswith(
+                        previous[previous.rfind("\n  ") + 1 :]
+                    ):
+                        # the last pair's shared lines when a "\n" ends the
+                        # head in both blocks, else the longest run
+                        if hint and block.endswith(hint) and previous.endswith(hint):
+                            shared = len(hint) - 1
+                        else:
+                            shared = _shared_lines(block, previous)
+                            hint = "\n" + block[len(block) - shared :] if shared else ""
+                        before = matchings[-1]  # the previous block's edges
+                        tail = before[len(before) - previous.count("\n", len(previous) - shared) :]
+                    head = block[: len(block) - shared]
                     try:
-                        if previous is not None and block.endswith(
-                            previous[previous.rfind("\n  ") + 1 :]
-                        ):
-                            if table is None:
-                                table = dict(zip(previous.split("\n"), matchings[-1]))
-                            # the last pair's shared lines when a "\n" ends
-                            # the head in both blocks, else the longest run
-                            if hint and block.endswith(hint) and previous.endswith(hint):
-                                shared = len(hint) - 1
-                            else:
-                                shared = _shared_lines(block, previous)
-                                hint = "\n" + block[len(block) - shared :] if shared else ""
-                            before = matchings[-1]  # the previous block's edges
-                            k = len(before) - previous.count("\n", 0, len(previous) - shared)
-                            lines = block[: len(block) - shared].split("\n")
-                            lines.pop()  # the text after the head's last "\n"
-                            new = list(set(lines).difference(table))
-                            fresh = "\n".join(new) + "\n"
-                            if not new or edge_run(fresh):
-                                table.update(zip(new, zip(*[iter(_ids(fresh))] * r)))
-                                current = list(map(table.__getitem__, lines))
-                                current += before[len(before) - k :]
-                                bulk = block
-                        elif edge_run(block):
-                            current = list(zip(*[iter(_ids(block))] * r))
+                        if (shared and not head) or re.fullmatch(_EDGE_RUN % (r - 1), head):
+                            current = list(zip(*[iter(_ids(head))] * r)) + tail
                             bulk = block
                     except ValueError:
                         pass  # a leading zero or an id past int's digit limit

@@ -902,10 +902,17 @@ def sample_and_extend(
     The per-colour conditions are checked in exact integer arithmetic.
     At small n they routinely fail (the guarantees are asymptotic); the
     solve still runs on the final sample, so trivially extendable
-    instances succeed regardless.  Both the conditions and the
-    restricted instance read each run of ``inst.runs`` once, a shared
-    tail once while its length stays the same (:func:`_kept_runs`), and
-    the colours of a run share one restricted matching.
+    instances succeed regardless.  The probability clamps to 1 for
+    n < 16^r, and at n = 16^r for r = 2 and 3 (so for n <= 256 at
+    r = 2 and n <= 4,096 at r = 3): every attempt samples every vertex,
+    so no edge avoids the sample and the conditions cannot hold.  All
+    ``retries`` attempts then run, each drawing one number per vertex,
+    the off-sample search gets an empty instance, the result is the
+    greedy extension inside the sample alone, and a shortfall is always
+    a ``sampling`` failure.  Both the conditions and the restricted
+    instance read each run of ``inst.runs`` once, a shared tail once
+    while its length stays the same (:func:`_kept_runs`), and the
+    colours of a run share one restricted matching.
     """
     n = inst.n
     t0 = time.perf_counter()

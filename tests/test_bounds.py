@@ -30,6 +30,11 @@ def test_upper_bound_g_boundary_flagged():
     assert not bv.domain_ok and "216" in bv.domain_reason
 
 
+def test_bound_value_str_names_the_formula_and_flags_the_domain():
+    assert str(rf.ach_bound(3, 8)) == "ach_bound = 6"
+    assert str(rf.upper_bound_g(3, 100)).endswith("[out of domain: requires n > 6**r = 216, got 100]")
+
+
 def test_upper_bound_g_floor_root_case():
     # floor((1297^3)^(1/4)) = 216, so the rational value is 1297 - 216/48
     bv = rf.upper_bound_g(4, 1297)

@@ -110,6 +110,11 @@ def test_bounds_rejects_n_below_one(n, capsys):
     assert capsys.readouterr().err.startswith(f"invalid parameters: n must be >= 1, got {n}")
 
 
+def test_bounds_rejects_an_empty_range(capsys):
+    assert main(["bounds", "--r", ",", "--n", "5"]) == 1
+    assert "usage error: empty range specification ','" in capsys.readouterr().err
+
+
 def test_unreadable_inputs_exit_2_naming_the_path(tmp_path, capsys):
     inst_path = tmp_path / "a.rbf"
     main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)])

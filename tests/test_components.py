@@ -188,6 +188,16 @@ def unions(draw):
     return disjoint_union(parts)
 
 
+def test_components_skip_an_empty_colour_class():
+    # the empty colour adds no edge and no type; the gadgets still split
+    # into two components
+    inst = rf.Instance(3, rf.ach_instance(3, 4).matchings + ((),))
+    rep = rf.exact_max_rainbow(inst)
+    assert rep.certificate == rf.CERT_EXACT and rep.stats.extra["components"] == 2
+    assert rep.size == brute_force_max_rainbow(inst)
+    assert rf.is_rainbow_matching(inst, rep.matching)
+
+
 @settings(max_examples=60, deadline=None)
 @given(unions())
 def test_exact_by_components_matches_the_oracles(inst):

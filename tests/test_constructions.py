@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import rainbow_forge as rf
@@ -194,6 +196,59 @@ def test_find_blocking_family_impossible_cases():
         rf.find_blocking_family(3, 0, 2)
     with pytest.raises(ValueError):
         rf.find_blocking_family(3, 2, 0)
+    with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
+        rf.find_blocking_family(1, 3, 2)
+
+
+def test_find_blocking_family_budget_can_run_out_among_the_candidates(monkeypatch):
+    # the gadget family is a candidate at (3, 4, 2); a budget of 0 stops
+    # before the solver sees it
+    def unreachable(inst):
+        raise AssertionError("no evaluation within a budget of 0")
+
+    monkeypatch.setattr(rf.constructions, "exact_max_rainbow", unreachable)
+    assert rf.find_blocking_family(3, 4, 2, budget=0) is None
+
+
+def _scripted_sizes(monkeypatch, sizes):
+    """Make the exact solver of ``find_blocking_family`` return ``sizes``
+    in turn; the instances it was given are returned."""
+    seen = []
+    script = iter(sizes)
+
+    def exact(inst):
+        seen.append(inst)
+        return SimpleNamespace(size=next(script))
+
+    monkeypatch.setattr(rf.constructions, "exact_max_rainbow", exact)
+    return seen
+
+
+def test_find_blocking_family_returns_a_fresh_random_family_already_blocked(monkeypatch):
+    # no candidate exists at (2, 5, 3), so the first evaluation is the
+    # first random family
+    seen = _scripted_sizes(monkeypatch, [2])
+    bf = rf.find_blocking_family(2, 5, 3, seed=0)
+    assert len(seen) == 1
+    assert bf.inst.matchings == seen[0].matchings and bf.certified_max == 2
+    assert bf.inst.meta["generator"] == "blocking-search"
+
+
+def test_find_blocking_family_rejects_a_worse_mutation(monkeypatch):
+    # the fresh family reaches 3 = t, the first mutation scores worse and
+    # is undone, and the second, made on the saved family, blocks
+    seen = _scripted_sizes(monkeypatch, [3, 4, 2])
+    bf = rf.find_blocking_family(2, 5, 3, seed=1)
+    fresh, worse, blocked = (inst.matchings for inst in seen)
+    assert bf.inst.matchings == blocked and bf.certified_max == 2
+
+    def changed(matchings):
+        return [j for j in range(5) if matchings[j] != fresh[j]]
+
+    # each mutation changes one matching of the fresh family: the second
+    # does not keep the first's change
+    assert changed(worse) == [4]
+    assert changed(blocked) == [0]
 
 
 def test_find_blocking_family_r2_cycle_seed():
@@ -248,6 +303,11 @@ def test_random_instance_deterministic_and_valid():
     assert a == b
     assert rf.validate_instance(a) == []
     assert a != rf.random_instance(3, 2, 2, seed=8)
+
+
+def test_random_instance_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="matching count must be >= 0, got -1"):
+        rf.random_instance(3, -1, 2)
 
 
 def test_random_instance_pool_is_bounded():

@@ -80,10 +80,11 @@ def test_serialized_files_are_read_a_block_at_a_time(monkeypatch, build):
     assert rf.parse_instance(text) == inst
     assert counter.calls == 3 + (inst.partition is not None) + len(inst.meta) + inst.n
 
-def test_dummy_lift_loads_one_edge_object_per_distinct_edge():
-    # every block ends on the lift's shared edges, so the blocks after the
-    # first are read through one line -> edge table: 300 matchings of 600
-    # edges load as 1,282 edge tuples, not 180,000
+def test_dummy_lift_loads_one_edge_object_per_head_edge():
+    # every block ends on the lift's shared edges, which load as the
+    # previous matching's own objects; only the heads add edge objects:
+    # 300 matchings of 600 edges load as 600 + 299 * 5 = 2,095 edge
+    # tuples, not 180,000
     inst = rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595)
     text = rf.serialize_instance(inst)
     tracemalloc.start()
@@ -95,28 +96,29 @@ def test_dummy_lift_loads_one_edge_object_per_distinct_edge():
     assert parsed == inst
     assert rf.serialize_instance(parsed) == text
     edges = [e for m, _ in parsed.runs for e in m]
-    assert len({id(e) for e in edges}) == len(set(edges)) == 1282
+    heads = sum(len(m) - k for (m, _), k in zip(parsed.runs, parsed.tails))
+    assert len({id(e) for e in edges}) == heads == 2095
     assert kept < 4 * 2**20
 
 
 def test_dummy_lift_reads_its_shared_lines_once(monkeypatch):
     # each block ends on the lines the block before ends on, 595 shared
-    # edges and maybe a head edge; only the lines before them are split
-    # and looked up in the line -> edge table: 299 heads of 5 lines, not
-    # 299 blocks of 600
-    lookups = []
+    # edges and maybe a head edge; only the lines before them are
+    # converted: the first block's 600 and 299 heads of 5 lines, not 299
+    # blocks of 600
+    converted = []
+    ids = rf.fileformat._ids
 
-    class CountingTable(dict):
-        def __getitem__(self, line):
-            lookups.append(line)
-            return super().__getitem__(line)
+    def counting_ids(run):
+        converted.append(run.count("\n"))
+        return ids(run)
 
     inst = rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595)
     text = rf.serialize_instance(inst)
-    monkeypatch.setattr(rf.fileformat, "dict", CountingTable, raising=False)
+    monkeypatch.setattr(rf.fileformat, "_ids", counting_ids)
     parsed = rf.parse_instance(text)
     assert parsed == inst
-    assert 299 * 5 <= len(lookups) <= 5_000
+    assert 299 * 5 <= sum(converted) <= 5_000
     assert all(k >= 595 for k in parsed.tails[1:])
 
 

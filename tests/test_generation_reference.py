@@ -92,6 +92,18 @@ def test_sample_and_extend_on_the_benchmark_lift_matches_reference():
         assert _report(got) == _report(generation_reference.sample_and_extend(inst, seed=seed))
 
 
+def test_sample_and_extend_below_p_one_solves_off_the_sample():
+    # p = 4 n^(-1/4) < 1 at r = 2, n = 1000: the sample leaves vertices
+    # out, and the off-sample local search uses some colours, which the
+    # extension inside the sample then skips
+    inst = rf.random_instance(2, 1000, 2, seed=1)
+    got = rf.sample_and_extend(inst, seed=1)
+    diagnostics = got.diagnostics if isinstance(got, rf.SampleExtendFailure) else got.stats.extra
+    assert diagnostics["p_effective"] < 1
+    assert diagnostics["off_sample_size"] >= 1
+    assert _report(got) == _report(generation_reference.sample_and_extend(inst, seed=1))
+
+
 def test_sample_and_extend_reaches_a_full_matching_and_a_sampling_failure():
     # a lift of 6 edges gives every colour a spare edge; the "extension"
     # stage needs r 2^r sqrt(n) edges of a colour inside the sample,

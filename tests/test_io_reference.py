@@ -246,10 +246,10 @@ _BLOCKS = (
 _REPEATED = "rainbow-forge/1\nr 3\nn 3\n" + "".join(
     f"matching {i}\n  0 1 2\n  3 4 5\n" for i in range(3)
 )
-# every block ends on the line "  9 10 11", so matchings 1 and 2 are read
-# through the line -> edge table; the cases below give a block a new line
-# the table path must reject as the line loop does, break the shared
-# tail, or put an odd line between or inside such blocks
+# every block ends on the line "  9 10 11", so matchings 1 and 2 share it
+# with the block before and read only their heads; the cases below give a
+# head a line the bulk path must reject as the line loop does, break the
+# shared tail, or put an odd line between or inside such blocks
 _SHARED_TAIL = "rainbow-forge/1\nr 3\nn 3\n" + "".join(
     f"matching {i}\n  {line}\n  9 10 11\n" for i, line in enumerate(["0 1 2", "3 4 5", "6 7 8"])
 )
@@ -463,8 +463,6 @@ def test_equal_consecutive_blocks_load_as_one_matching(name, distinct):
 def test_blocks_that_end_on_one_line_share_its_edges():
     inst = rf.parse_instance(_BOUNDARY_CASES["shared-tail"])
     assert inst.matchings[0][-1] is inst.matchings[1][-1] is inst.matchings[2][-1]
-    again = rf.parse_instance(_BOUNDARY_CASES["shared-tail-known-lines-only"])
-    assert again.matchings[2][0] is again.matchings[0][0]
 
 
 def test_shared_skips_a_matching_with_no_other_non_empty_edge():

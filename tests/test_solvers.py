@@ -563,6 +563,13 @@ def test_sample_and_extend_disjoint_succeeds():
     assert rf.is_rainbow_matching(inst, res.matching)
 
 
+def test_sample_and_extend_on_no_colours_is_an_empty_heuristic_report():
+    res = rf.sample_and_extend(rf.Instance(r=3, matchings=()), seed=4)
+    assert isinstance(res, rf.SolveReport)
+    assert res.certificate == rf.CERT_HEURISTIC and res.size == 0
+    assert res.stats.seed == 4 and res.stats.extra == {}
+
+
 def test_sample_and_extend_takes_its_seed_by_keyword():
     # a call that still passes the old target, n, is not read as a seed
     with pytest.raises(TypeError):
