@@ -397,7 +397,7 @@ def find_blocking_family(
         stall = 0
         while evals < budget and stall < 4 * n:
             j = rng.randrange(n)
-            saved = [list(m) for m in state]
+            saved = list(state[j])  # the only matching the mutation changes
             _mutate_matching(rng, state[j], r, t)
             inst = _matchings_to_instance(r, t, state)
             val = evaluate(inst)
@@ -407,7 +407,7 @@ def find_blocking_family(
                 stall = stall + 1 if val == cur else 0
                 cur = val
             else:
-                state = saved
+                state[j] = saved
                 stall += 1
     return None
 

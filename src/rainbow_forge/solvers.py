@@ -5,13 +5,14 @@ identical edge sets (every tightness construction repeats matchings)
 are grouped into classes, and the search assigns each class an
 increasing sequence of edges instead of permuting interchangeable
 colours.  Pruning combines the remaining-colour count with a
-vertex-count relaxation; the reported size is deterministic.  The
-search state of a class is one integer, the union of its live edges'
-bitmasks: a class is a matching, so the union alone tells how many
-edges are live, which comes first, and which of them an edge picked in
-another class removes.  Every colour must therefore be a matching of
-r-sets; the exact solver raises ValueError naming a colour that is
-not, whichever path it takes.
+vertex-count relaxation, and a node stops once the incumbent meets its
+bound; the reported size is deterministic.  The search state of a
+class is one integer, the union of its live edges' bitmasks: a class
+is a matching, so the union alone tells how many edges are live, which
+comes first, and which of them an edge picked in another class
+removes.  Every colour must therefore be a matching of r-sets; the
+exact solver raises ValueError naming a colour that is not, whichever
+path it takes.
 
 A disjoint union of small pieces, which every family of the paper is,
 is solved one component at a time instead.  A union-find over the
@@ -332,9 +333,12 @@ def _branch_and_bound(
     * another class loses the edges on the picked edge's vertices,
       found through the class's ``edge_at`` map.
 
-    The vertex bound's union is the OR of the class unions.  Each node
-    is a generator run from :func:`_walk`'s explicit stack, which counts
-    it and stops at the first node past ``budget``.
+    The vertex bound's union is the OR of the class unions.  A node
+    stops once the incumbent meets its bound, even with children left:
+    a descendant's find can raise the incumbent, and no matching below
+    the node exceeds the bound.  Each node is a generator run from
+    :func:`_walk`'s explicit stack, which counts it and stops at the
+    first node past ``budget``.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag).
@@ -364,14 +368,17 @@ def _branch_and_bound(
             if pick_len < 0 or count < pick_len:
                 pick, pick_len = ci, count
             union |= u
-        if cur + min(total_ub, union.bit_count() // r) <= best_size:
+        top = cur + min(total_ub, union.bit_count() // r)
+        if top <= best_size:
             return
 
         k = left[pick]
         left[pick] = k - 1
         at = edge_at[pick]
         tail = live[pick]
-        while tail:
+        # a descendant's find raises best_size, and no matching below
+        # this node beats top: stop once the incumbent reaches it
+        while tail and top > best_size:
             mk = at[tail & -tail]
             tail ^= mk  # the class's live edges after this one
             child: dict[int, int] = {}
@@ -395,7 +402,8 @@ def _branch_and_bound(
         left[pick] = k
         # close the whole class: interchangeable colours make exploring
         # "skip member k, use member k+1" redundant
-        yield dfs({cj: u for cj, u in live.items() if cj != pick})
+        if top > best_size:
+            yield dfs({cj: u for cj, u in live.items() if cj != pick})
 
     root = dfs({ci: cl.union for ci, cl in enumerate(classes) if cl.union})
     nodes, exhausted = _walk(root, budget)

@@ -3,9 +3,13 @@
 A copy of the exact solver's branch-and-bound as it was when each open
 colour class carried its live edges as a tuple of (position, mask)
 pairs and every child re-filtered them.  The package now keeps one
-vertex bitmask per class; the search it runs must stay the same: same
-pick, edge order, pruning, node count, witness and budget cut-off.
-Test-only, like ``ilp_oracle``: nothing in the package imports it.
+vertex bitmask per class and stops a node once the incumbent meets the
+node's bound; with ``stop_at_bound=True`` the reference applies the same
+stop, and the search the package runs must be the same: same pick, edge
+order, pruning, node count, witness and budget cut-off.  The default
+``stop_at_bound=False`` walks the tree without that stop; unbudgeted,
+it finds the same witness in at least as many nodes.  Test-only, like
+``ilp_oracle``: nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -34,8 +38,13 @@ def reference_branch_and_bound(
     r: int,
     budget: int | None,
     incumbent: RainbowMatching,
+    *,
+    stop_at_bound: bool = False,
 ) -> tuple[RainbowMatching, int, bool]:
     """Search all canonical class assignments.
+
+    With ``stop_at_bound``, a node enters no further child, the
+    close-class child included, once the incumbent meets its bound.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag).
@@ -76,11 +85,14 @@ def reference_branch_and_bound(
         for _, lst in live.values():
             for _, mk in lst:
                 union |= mk
-        if cur + min(total_ub, union.bit_count() // r) <= best_size:
+        bound = min(total_ub, union.bit_count() // r)
+        if cur + bound <= best_size:
             return
 
         left, lst = live[pick]
         for idx, (pos, mk) in enumerate(lst):
+            if stop_at_bound and cur + bound <= best_size:
+                return
             child: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
             for cj, (lj, ej) in live.items():
                 if cj == pick:
@@ -97,6 +109,8 @@ def reference_branch_and_bound(
             chosen.pop()
         # close the whole class: interchangeable colours make exploring
         # "skip member k, use member k+1" redundant
+        if stop_at_bound and cur + bound <= best_size:
+            return
         rest = {cj: v for cj, v in live.items() if cj != pick}
         dfs(rest)
 

@@ -102,10 +102,10 @@ def test_exact_size_invariant_under_symmetries():
     "build, size, nodes",
     [
         # one component
-        (lambda: rf.random_instance(3, 18, 18, seed=1), 18, 21_189),
+        (lambda: rf.random_instance(3, 18, 18, seed=1), 18, 21_102),
         (lambda: rf.cycle_instance(200), 199, 401),
         # three shared edges and one component holding most vertices
-        (lambda: rf.dummy_lift(rf.random_instance(3, 18, 18, seed=1), 3), 18, 139),
+        (lambda: rf.dummy_lift(rf.random_instance(3, 18, 18, seed=1), 3), 18, 19),
     ],
 )
 def test_exact_search_where_the_instance_is_not_decomposed(build, size, nodes):
@@ -210,9 +210,29 @@ def test_branch_and_bound_walks_the_reference_search_tree(inst):
         for budget in (None, 0, 1, 7, 50):
             # same witness, node count and budget cut-off; at budget 0
             # the root itself is past it, counted but not run
-            assert solvers._branch_and_bound(
-                classes, inst.r, budget, incumbent
-            ) == reference_branch_and_bound(classes, inst.r, budget, incumbent)
+            got = solvers._branch_and_bound(classes, inst.r, budget, incumbent)
+            assert got == reference_branch_and_bound(
+                classes, inst.r, budget, incumbent, stop_at_bound=True
+            )
+            # the tree without the stop: an unbudgeted search finds the
+            # same witness in no more nodes, a budgeted one none smaller
+            full = reference_branch_and_bound(classes, inst.r, budget, incumbent)
+            if budget is None:
+                assert got[0] == full[0] and got[1] <= full[1]
+            assert got[0].size >= full[0].size
+
+
+def test_search_stops_a_node_once_the_incumbent_meets_its_bound():
+    # local search misses the optimum 40, the root bound, by 2; the
+    # first dive finds it, and every open node then stops at once
+    inst = rf.random_instance(2, 40, 40, seed=5)
+    incumbent = rf.local_search_rainbow(inst).matching
+    rep = rf.exact_max_rainbow(inst)
+    assert (rep.size, rep.stats.extra["incumbent_size"]) == (40, 38)
+    assert (rep.certificate, rep.stats.nodes) == (rf.CERT_EXACT, 151)
+    classes = solvers._Table(inst).classes
+    witness, nodes, _ = reference_branch_and_bound(classes, inst.r, None, incumbent)
+    assert (rep.matching, nodes) == (witness, 686)
 
 
 # ---------------------------------------------------------------------------
