@@ -8,16 +8,17 @@ together with an injective assignment of colours to edges such that
 each edge belongs to the matching of its assigned colour.
 
 All types are immutable after construction and safe to share between
-threads.  Constructors normalise: every vertex id, part index and
-colour must be an int (``operator.index``, so a float or a string
-raises TypeError), and since a matching and a rainbow matching are
-sets, the edges of each matching are stored in lexicographic order and
-the pairs of an assignment in (colour, edge) order.  A matching that
-is already canonical (a tuple in that order of tuples of exact ints, as
+threads.  Constructors normalise: the uniformity r and every vertex
+id, part index and colour must be an int (``operator.index``, so a
+float or a string raises TypeError, and a bool becomes 0 or 1), and
+since a matching and a rainbow matching are sets, the edges of each
+matching are stored in lexicographic order and the pairs of an
+assignment in (colour, edge) order.  A matching that is already
+canonical (a tuple in that order of tuples of exact ints, as
 ``parse_instance`` builds them) is kept as it is, not copied, and so is
 an assignment already in that order of exact-int pairs, as
-``parse_report`` builds it from a written report.  Vertex
-order inside an edge is kept as given and repeated edges are kept, so
+``parse_report`` builds it from a written report.  Vertex order inside
+an edge is kept as given and repeated edges are kept, so
 :func:`validate_instance` still reports them.  It checks the
 combinatorial invariants and reports violations as data instead of
 raising, so malformed inputs can be inspected.
@@ -36,12 +37,14 @@ edge lines and the exact solver's colour-class table.
 Distinct matchings may share edge objects too: ``dummy_lift`` appends
 the same fresh edges to every matching.  ``Instance.tails`` records,
 per run, how many trailing edges are the same objects as the previous
-run's; those form the run's shared tail and the rest its head.  The
-constructor's check, :func:`validate_instance` on a valid family,
-``serialize_instance`` and ``Instance.vertices`` then do per-run work
-on the head only, and the tail's work once while its length stays the
-same.  A family that shares no edge, such as a random one, has tails
-of 0, found at its first edge.
+run's; those form the run's shared tail and the rest its head.  Apart
+from the constructor's check, every reader of a tail walks the runs
+through :func:`map_parts`, whose docstring states the shared-tail rule:
+:func:`validate_instance` on a valid family, ``serialize_instance``,
+``sample_and_extend`` and ``Instance.vertices`` do per-run work on the
+head only, and the tail's work once while its length stays the same.
+A family that shares no edge, such as a random one, has tails of 0,
+found at its first edge.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import index, is_not, itemgetter, le, lt
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 # An edge is a strictly increasing tuple of r vertex identifiers.
 Edge = tuple[int, ...]
@@ -58,6 +61,7 @@ Edge = tuple[int, ...]
 Matching = tuple[Edge, ...]
 # A maximal run of consecutive colours holding one matching object.
 Run = tuple[Matching, range]
+_T = TypeVar("_T")
 
 
 def make_edge(vertices: Iterable[int]) -> Edge:
@@ -87,6 +91,25 @@ def map_runs(f: Callable[[Matching], Matching], runs: Iterable[Run]) -> tuple[Ma
     object ``m`` of each run, called once per run and shared by its
     colours."""
     return tuple(chain.from_iterable(repeat(f(m), len(colours)) for m, colours in runs))
+
+
+def map_parts(f: Callable[[Matching], _T], inst: Instance) -> Iterator[tuple[_T, _T, range]]:
+    """``(f(head), f(tail), colours)`` for each run of ``inst.runs``, in
+    order: the run's shared tail is its last ``inst.tails[i]`` edges,
+    and its head the rest, the whole matching when it shares nothing.
+
+    The shared-tail rule: a run's tail lies among the previous run's
+    edges, as the same objects, so a tail as long as the previous run's
+    is that tail.  ``f`` runs on every head, on a tail once while the
+    tail's length stays the same, and once on ``()``, which stands for
+    "no tail".  Per-run work is then per head, and a dummy lift's shared
+    edges are handled once, not once per matching."""
+    empty = tail = f(())
+    tail_len = 0
+    for (m, colours), k in zip(inst.runs, inst.tails):
+        if k != tail_len:
+            tail_len, tail = k, f(m[len(m) - k :]) if k else empty
+        yield f(m[: len(m) - k]), tail, colours
 
 
 def _shared_tail(m: Matching, prev: Matching) -> int:
@@ -150,8 +173,9 @@ class Instance:
     the same objects as run i - 1's, its shared tail; the rest is its
     head.  It is 0 for run 0 and after a copied matching, and the
     constructor tests only the head and the first tail edge of a run
-    whose predecessor it kept.  Neither takes part in equality or the
-    repr.
+    whose predecessor it kept.  Every other reader walks the heads and
+    tails through :func:`map_parts`.  Neither takes part in equality or
+    the repr.
     """
 
     r: int
@@ -162,6 +186,7 @@ class Instance:
     tails: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "r", index(self.r))
         given = tuple(self.matchings)
         # a run starts at each colour whose object is not the previous
         # colour's (colour 0 is compared with a fresh object)
@@ -198,9 +223,7 @@ class Instance:
     def vertices(self) -> set[int]:
         # a run's shared tail lies among the previous run's edges, so the
         # heads (run 0 whole) hold every vertex
-        heads = map(itemgetter(0), self.runs)
-        if any(self.tails):
-            heads = (m[: len(m) - k] for m, k in zip(heads, self.tails))
+        heads = (head for head, _, _ in map_parts(tuple, self))
         return set(chain.from_iterable(chain.from_iterable(heads)))
 
     def vertex_count(self) -> int:
@@ -287,11 +310,12 @@ def validate_instance(inst: Instance) -> list[Violation]:
     builtins; only a matching that fails goes through the per-edge pass,
     which is the only code that reports its violations, in edge order.
     The whole-matching check runs once per run of ``inst.runs``; an
-    invalid matching is reported under every colour of its run.  After
-    a run that passed, a run's shared tail (``inst.tails``) is valid
-    already: only its head is checked, and its head's vertices tested
-    against the tail's, whose set is reused while the tail length stays
-    the same.  A run that fails is checked edge by edge in full.
+    invalid matching is reported under every colour of its run.  The
+    runs are walked by :func:`map_parts`.  After a run that passed, a
+    run's shared tail is valid already: only its head is checked, and
+    its head's vertices tested against the tail's, whose set is built
+    once per tail.  After a run that failed, the tail is checked with
+    its head.  A run that fails is checked edge by edge in full.
     """
     out: list[Violation] = []
     r = inst.r
@@ -311,19 +335,20 @@ def validate_instance(inst: Instance) -> list[Violation]:
     # with a part out of range only the per-edge pass tells which edges it spoils
     checked = part is None or bits is not None
     passed = False  # the previous run passed, so its edges are valid
-    tail_len, tail_vertices = 0, set()  # the previous run's trusted tail
-    for (matching, colours), t in zip(inst.runs, inst.tails):
+    trusted, tail_vertices = (), set()  # the last trusted tail and its vertices
+    for head, tail, colours in map_parts(tuple, inst):
         if checked:
-            t = t if passed else 0
-            if t != tail_len:
-                # a tail as long as the previous run's is that tail
-                tail_len, tail_vertices = t, set(chain.from_iterable(matching[len(matching) - t :]))
-            head = matching[: len(matching) - t]
+            if not passed:
+                head, tail = head + tail, ()
+            elif tail is not trusted:
+                trusted, tail_vertices = tail, set(chain.from_iterable(tail))
+            # an empty set's isdisjoint still walks its whole argument
             passed = _matching_is_valid(head, r, bits) and (
-                not t or tail_vertices.isdisjoint(chain.from_iterable(head))
+                not tail or tail_vertices.isdisjoint(chain.from_iterable(head))
             )
             if passed:
                 continue
+        matching = head + tail
         for j in colours:
             owner: dict[int, int] = {}
             for k, e in enumerate(matching):

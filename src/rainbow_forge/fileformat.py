@@ -25,14 +25,13 @@ shares the longest run of whole lines that ends both blocks, and
 loads that run as the previous matching's last edges, the same
 objects, without splitting it.  The run is the one the last such pair
 shared when a line break precedes it in both blocks (two ``endswith``
-tests), else the common suffix found by a binary search of
-``endswith`` tests, cut at its first line start.  The rest of the
-block, its head (the whole block when it shares nothing), must be
-made only of edge lines in the form the serializer writes (two
-spaces, r ASCII-digit ids separated by single spaces, a newline), and
-is read in one pass: one pattern checks it, one ``json.loads`` of its
-ids joined by commas converts them in C, and one ``zip`` turns them
-into edges.  The file of ``dummy_lift(random_instance(3, 300, 5, 1),
+tests), else the one found by comparing the two blocks' lines from the
+end.  The rest of the block, its head (the whole block when it shares
+nothing), must be made only of edge lines in the form the serializer
+writes (two spaces, r ASCII-digit ids separated by single spaces, a
+newline), and is read in one pass: one pattern checks it, one
+``json.loads`` of its ids joined by commas converts them in C, and one
+``zip`` turns them into edges.  The file of ``dummy_lift(random_instance(3, 300, 5, 1),
 595)`` then converts 5 lines of each block after the first, not 600,
 and loads its 180,000 edges as 2,095 tuples, one per head edge,
 1.59 MiB kept after the parse instead of 24.8 MiB.  Any other block,
@@ -44,9 +43,9 @@ either way.
 Equal consecutive matchings load as one tuple: a block equal to the
 previous one but not shared by the rule above is replaced by it once
 read.  The serializer renders the edge lines of each run of
-``Instance.runs`` once, as two strings: its head's, and its shared
-tail's (``Instance.tails``), which is reused while the tail's length
-stays the same, so a dummy lift's shared edges are rendered once.
+``Instance.runs`` once, as two strings, its head's and its shared
+tail's, walked by ``core.map_parts`` (whose docstring states the
+shared-tail rule), so a dummy lift's shared edges are rendered once.
 
 Solver reports are JSON documents with sorted keys; the ``wall_time``
 statistic is the only field excluded from determinism guarantees.  A
@@ -59,11 +58,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import itemgetter, ne
 from typing import Any, Callable
 
-from .core import Instance, Matching, RainbowMatching, Violation, validate_instance
+from .core import Instance, Matching, RainbowMatching, Violation, map_parts, validate_instance
 from .solvers import CERT_EXACT, CERT_HEURISTIC, CERT_LOCAL
 
 FORMAT_VERSION = "rainbow-forge/1"
@@ -105,23 +104,19 @@ def serialize_instance(inst: Instance) -> str:
             raise ValueError(f"metadata value not representable for {key!r}: {value!r}")
         lines.append(f"meta {key} {value}".rstrip())
     edge_line = _edge_line(inst.r)
-    tail_len, tail = 0, ""  # the previous run's shared tail length and its lines
-    for (matching, colours), k in zip(inst.runs, inst.tails):
-        try:
-            if k != tail_len:
-                # a tail as long as the previous run's is that tail
-                tail_len, tail = k, "\n".join(map(edge_line, matching[len(matching) - k :]))
-            head = "\n".join(map(edge_line, matching[: len(matching) - k]))
-        except TypeError:
-            raise ValueError(
-                f"matching {colours[0]} has an edge of other than {inst.r} vertices, not representable"
-            ) from None
-        for i in colours:
-            lines.append(f"matching {i}")
-            if head:
-                lines.append(head)
-            if k:
-                lines.append(tail)
+    try:
+        for head, tail, colours in map_parts(lambda m: "\n".join(map(edge_line, m)), inst):
+            for i in colours:
+                lines.append(f"matching {i}")
+                if head:
+                    lines.append(head)
+                if tail:
+                    lines.append(tail)
+    except TypeError:
+        # a tail's edges are the previous run's, so the first matching
+        # holding a bad edge is the run that failed
+        bad = next(i for i, m in enumerate(inst.matchings) if {len(e) for e in m} - {inst.r})
+        raise ValueError(f"matching {bad} has an edge of other than {inst.r} vertices, not representable") from None
     lines.append("")  # the final newline, without copying the document again
     return "\n".join(lines)
 
@@ -160,21 +155,10 @@ def _ids(run: str) -> list[int]:
 
 def _shared_lines(a: str, b: str) -> int:
     """The length of the longest run of whole lines that ends both ``a``
-    and ``b``: their longest common suffix, found by binary search, then
-    cut at its first line start when it does not start a line in both."""
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a.endswith(b[len(b) - mid :]):
-            lo = mid
-        else:
-            hi = mid - 1
-    i, j = len(a) - lo, len(b) - lo
-    if (i == 0 or a[i - 1] == "\n") and (j == 0 or b[j - 1] == "\n"):
-        return lo
-    # the suffix is common, so a "\n" inside it ends a line in both
-    nl = a.find("\n", i)
-    return len(a) - nl - 1 if nl >= 0 else 0
+    and ``b``: their lines, split at ``"\n"``, compared from the end."""
+    lines, other = a.split("\n"), b.split("\n")
+    k = next(compress(count(), map(ne, reversed(lines), reversed(other))), min(len(lines), len(other)))
+    return len("\n".join(lines[len(lines) - k :]))
 
 
 def parse_instance(text: str) -> Instance:

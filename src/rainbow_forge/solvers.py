@@ -89,9 +89,9 @@ import time
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .core import Edge, Instance, Matching, RainbowMatching, Run, is_rainbow_matching, map_runs
+from .core import Edge, Instance, Matching, RainbowMatching, is_rainbow_matching, map_parts, map_runs
 
 CERT_EXACT = "exact-optimum"
 CERT_LOCAL = "local-optimum"
@@ -877,19 +877,6 @@ def chernoff_tail(n_trials: int, p, epsilon) -> decimal.Decimal:
         return 2 * x.exp()
 
 
-def _kept_runs(inst: Instance, keep: Callable[[Edge], bool]) -> Iterator[Run]:
-    """``(edges, colours)`` for each run of ``inst.runs``: the edges of
-    its matching for which ``keep`` holds, in order.  Each run's head is
-    filtered, and its shared tail (``inst.tails``) once while the tail's
-    length stays the same: a tail as long as the previous run's is that
-    tail."""
-    tail_len, tail = 0, ()
-    for (m, colours), k in zip(inst.runs, inst.tails):
-        if k != tail_len:
-            tail_len, tail = k, tuple(filter(keep, m[len(m) - k :]))
-        yield tuple(filter(keep, m[: len(m) - k])) + tail, colours
-
-
 def sample_and_extend(
     inst: Instance,
     *,
@@ -912,15 +899,16 @@ def sample_and_extend(
     solve still runs on the final sample, so trivially extendable
     instances succeed regardless.  The probability clamps to 1 for
     n < 16^r, and at n = 16^r for r = 2 and 3 (so for n <= 256 at
-    r = 2 and n <= 4,096 at r = 3): every attempt samples every vertex,
-    so no edge avoids the sample and the conditions cannot hold.  All
-    ``retries`` attempts then run, each drawing one number per vertex,
-    the off-sample search gets an empty instance, the result is the
-    greedy extension inside the sample alone, and a shortfall is always
-    a ``sampling`` failure.  Both the conditions and the restricted
-    instance read each run of ``inst.runs`` once, a shared tail once
-    while its length stays the same (:func:`_kept_runs`), and the
-    colours of a run share one restricted matching.
+    r = 2 and n <= 4,096 at r = 3): the sample is every vertex, drawn
+    without a random number, so no edge avoids the sample and the
+    conditions cannot hold.  All ``retries`` attempts then run on that
+    one sample, the off-sample search gets an empty instance, the
+    result is the greedy extension inside the sample alone, and a
+    shortfall is always a ``sampling`` failure.  Both the conditions
+    and the restricted instance walk the heads and shared tails of
+    ``inst.runs`` through ``core.map_parts``, so a dummy lift's shared
+    edges are tested once per attempt, and the colours of a run share
+    one restricted matching.
     """
     n = inst.n
     t0 = time.perf_counter()
@@ -933,27 +921,28 @@ def sample_and_extend(
     p_eff = min(p, 1.0)
     inside_needed_sq = r * r * 4 ** r * n  # count >= r 2^r sqrt(n)  <=>  count^2 >= this
 
+    def kept(edges: Matching) -> tuple[int, int]:
+        """The numbers of ``edges`` inside the sample and off it."""
+        return sum(map(sample.issuperset, edges)), sum(map(sample.isdisjoint, edges))
+
     checks_met = False
     attempts = 0
     sample: set[int] = set()
     for attempts in range(1, max(1, retries) + 1):
-        # one draw per vertex, in sorted order
-        sample = {v for v in vertices if rng.random() < p_eff}
-        ok = True
+        # one draw per vertex, in sorted order, unless every vertex is kept
+        sample = set(vertices) if p_eff == 1.0 else {v for v in vertices if rng.random() < p_eff}
         # the colours of a run hold one matching, so one test covers them
-        for (inside, _), (off, _) in zip(
-            _kept_runs(inst, sample.issuperset), _kept_runs(inst, sample.isdisjoint)
+        if all(
+            (head_in + tail_in) ** 2 >= inside_needed_sq and 2 * (head_off + tail_off) >= (r + 1) * n
+            for (head_in, head_off), (tail_in, tail_off), _ in map_parts(kept, inst)
         ):
-            if len(inside) ** 2 < inside_needed_sq or 2 * len(off) < (r + 1) * n:
-                ok = False
-                break
-        if ok:
             checks_met = True
             break
 
+    off_sample = map_parts(lambda m: tuple(filter(sample.isdisjoint, m)), inst)
     restricted = Instance(
         r=inst.r,
-        matchings=map_runs(lambda m: m, _kept_runs(inst, sample.isdisjoint)),
+        matchings=map_runs(lambda m: m, ((head + tail, colours) for head, tail, colours in off_sample)),
         partition=inst.partition,
         meta={**inst.meta, "restricted": "off-sample"},
     )

@@ -154,6 +154,19 @@ def test_constructor_normalises_a_sorted_non_canonical_matching(m):
     assert all(type(e) is tuple and all(type(v) is int for v in e) for e in edges)
 
 
+@pytest.mark.parametrize("r", [3.0, "3"], ids=["float", "string"])
+def test_constructor_rejects_a_non_integer_r(r):
+    with pytest.raises(TypeError):
+        rf.Instance(r, (((0, 1, 2),),), partition=(0, 1, 2))
+
+
+def test_constructor_stores_a_bool_r_as_an_int():
+    inst = rf.Instance(True, (((0,),),))
+    assert inst.r == 1 and type(inst.r) is int
+    text = rf.serialize_instance(inst)
+    assert "\nr 1\n" in text and "r True" not in text
+
+
 def test_constructor_rejects_a_sorted_matching_with_a_float_vertex():
     with pytest.raises(TypeError):
         rf.Instance(r=2, matchings=(((0, 1.0), (2, 3)),))

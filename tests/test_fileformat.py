@@ -205,6 +205,46 @@ def test_edge_of_other_arity_not_serialized():
         rf.serialize_instance(inst)
 
 
+def test_edge_of_other_arity_in_a_shared_tail_names_the_run_that_introduced_it():
+    # colours 1 and 2 end on a tail holding a 3-vertex edge, which colour
+    # 3 shares with them as the same objects
+    tail = ((10, 11), (12, 13, 14), (20, 21))
+    shared = ((2, 3),) + tail
+    inst = rf.Instance(r=2, matchings=(((0, 1),), shared, shared, ((4, 5),) + tail))
+    assert inst.tails == (0, 0, 3)
+    with pytest.raises(ValueError, match=r"^matching 1 has an edge of other than 2 vertices, not representable$"):
+        rf.serialize_instance(inst)
+
+
+def _shared_lines_reference(a: str, b: str) -> int:
+    """The longest suffix of ``a`` that starts a line of ``a`` (at its
+    start or after a "\n") and also ends ``b`` starting a line of ``b``,
+    tried at every line start of ``a``; 0 when there is none."""
+    starts = [0] + [i + 1 for i, ch in enumerate(a) if ch == "\n"]
+    return max(
+        (
+            len(a) - i
+            for i in starts
+            if b.endswith(a[i:]) and (len(b) == len(a) - i or b[len(b) - (len(a) - i) - 1] == "\n")
+        ),
+        default=0,
+    )
+
+
+_LINES_TEXT = st.text(alphabet="0123 \n\r", max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES_TEXT, _LINES_TEXT, _LINES_TEXT, st.booleans())
+def test_shared_lines_match_a_line_by_line_reference(a, b, common, newline):
+    # two texts with a common suffix (maybe empty), with or without a
+    # final newline
+    end = "\n" if newline else ""
+    a, b = a + common + end, b + common + end
+    assert rf.fileformat._shared_lines(a, b) == _shared_lines_reference(a, b)
+    assert rf.fileformat._shared_lines(b, a) == _shared_lines_reference(b, a)
+
+
 def test_report_round_trip():
     inst = rf.ach_instance(3, 4)
     report = rf.exact_max_rainbow(inst)

@@ -64,12 +64,23 @@ def tail_sharing_families(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(tail_sharing_families(), st.randoms(use_true_random=False))
-def test_kept_runs_filter_every_matching(inst, rnd):
+def test_map_parts_filters_every_matching(inst, rnd):
     kept = set(rnd.sample(sorted(inst.vertices()), rnd.randint(0, len(inst.vertices()))))
+    # f runs on every head, on () once, and on a tail at each change of
+    # the tail length to one above 0
+    changes = sum(1 for k, prev in zip(inst.tails, (0, *inst.tails)) if k and k != prev)
     for keep in (kept.issuperset, kept.isdisjoint):
-        runs = list(solvers._kept_runs(inst, keep))
-        assert [colours for _, colours in runs] == [colours for _, colours in inst.runs]
+        calls = []
+
+        def f(edges):
+            calls.append(edges)
+            return tuple(filter(keep, edges))
+
+        parts = list(rf.core.map_parts(f, inst))
+        assert [colours for _, _, colours in parts] == [colours for _, colours in inst.runs]
+        runs = [(head + tail, colours) for head, tail, colours in parts]
         assert rf.core.map_runs(lambda m: m, runs) == tuple(tuple(filter(keep, m)) for m in inst.matchings)
+        assert len(calls) == len(inst.runs) + changes + 1
 
 
 def _report(res):
@@ -102,6 +113,29 @@ def test_sample_and_extend_below_p_one_solves_off_the_sample():
     assert diagnostics["p_effective"] < 1
     assert diagnostics["off_sample_size"] >= 1
     assert _report(got) == _report(generation_reference.sample_and_extend(inst, seed=1))
+
+
+def test_sample_and_extend_at_p_one_draws_nothing(monkeypatch):
+    # p = 4 n^(-1/(2r)) clamps to 1 on both: the sample is every vertex,
+    # so no attempt draws a number and the result is the greedy matching
+    draws = 0
+    draw = random.Random.random
+
+    def counting_random(self):
+        nonlocal draws
+        draws += 1
+        return draw(self)
+
+    monkeypatch.setattr(random.Random, "random", counting_random)
+    for inst in (rf.dummy_lift(rf.random_instance(3, 300, 5, seed=1), 595), rf.random_instance(3, 40, 6, seed=1)):
+        res = rf.sample_and_extend(inst, seed=1)
+        if isinstance(res, rf.SampleExtendFailure):
+            matching, diagnostics = res.best, {**res.diagnostics, "attempts": res.attempts}
+        else:
+            matching, diagnostics = res.matching, res.stats.extra
+        assert diagnostics["p_effective"] == 1.0 and diagnostics["attempts"] == solvers.DEFAULT_SAMPLE_RETRIES
+        assert draws == 0
+        assert matching == rf.greedy_rainbow(inst).matching
 
 
 def test_sample_and_extend_reaches_a_full_matching_and_a_sampling_failure():
