@@ -60,11 +60,16 @@ class UsageError(Exception):
 
 
 class UnreadableInput(Exception):
-    """An input path that names a directory or a file that is not UTF-8."""
+    """An input path that names a directory or a file that is not UTF-8,
+    or that runs through a file."""
 
 
 class UnwritableOutput(Exception):
-    """An output path that names a directory."""
+    """An output path that names a directory, or that runs through a file."""
+
+
+# the message for a path whose directory part names a regular file
+_THROUGH_A_FILE = "{} needs a directory where there is a file"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,12 +156,14 @@ def _write_out(path: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         p = Path(path)
-        if p.parent != Path(""):
-            p.parent.mkdir(parents=True, exist_ok=True)
         try:
+            if p.parent != Path(""):
+                p.parent.mkdir(parents=True, exist_ok=True)
             p.write_text(text, encoding="utf-8")
         except IsADirectoryError:
             raise UnwritableOutput(f"{path} is a directory") from None
+        except (FileExistsError, NotADirectoryError):
+            raise UnwritableOutput(_THROUGH_A_FILE.format(path)) from None
 
 
 def _read_input(path: str) -> str:
@@ -164,6 +171,8 @@ def _read_input(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except IsADirectoryError:
         raise UnreadableInput(f"{path} is a directory") from None
+    except NotADirectoryError:
+        raise UnreadableInput(_THROUGH_A_FILE.format(path)) from None
     except UnicodeDecodeError as exc:
         raise UnreadableInput(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -298,7 +307,10 @@ def _cmd_sweep(args) -> int:
         for n in _parse_span(args.n)
         for solver in solvers
     ]
-    sweep_dir, records = run_sweep(cells, args.out, jobs=args.jobs)
+    try:
+        sweep_dir, records = run_sweep(cells, args.out, jobs=args.jobs)
+    except (FileExistsError, NotADirectoryError):
+        raise UnwritableOutput(_THROUGH_A_FILE.format(args.out)) from None
     print(f"{len(records)} cells -> {sweep_dir}")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .bounds import _domain, nth_root_floor
 from .core import Edge, Instance, make_edge, map_runs
@@ -315,24 +316,6 @@ def _truncate_family(inst: Instance, n: int, t: int) -> Instance:
     )
 
 
-def _deterministic_candidates(r: int, n: int, t: int):
-    if r >= 3 and t == 2 and n <= 2 ** (r - 1):
-        # beyond 2^(r-1) matchings the gadget repeats a class, and two
-        # colours sharing a class yield a rainbow pair
-        yield _gadget_family(r, n)
-    if r >= 3 and t >= 2:
-        # gadget-product seed: a truncation of the paired-gadget family
-        # stays blocked because removing edges never helps the rainbow
-        lo = max(t, 2 ** (r - 1))
-        n_src = lo + lo % 2
-        if n_src - 2 ** (r - 2) <= t - 1 and n >= 1:
-            src = ach_instance(r, n_src)
-            if n <= n_src:
-                yield _truncate_family(src, n, t)
-    if r == 2 and 2 <= n <= t:
-        yield _truncate_family(cycle_instance(t), n, t)
-
-
 def _random_partite_matchings(rng: random.Random, r: int, n: int, t: int) -> list[list[Edge]]:
     """n random perfect matchings of the complete r-partite host with
     parts of size t (part j occupies vertices j*t .. j*t + t - 1)."""
@@ -345,19 +328,52 @@ def _random_partite_matchings(rng: random.Random, r: int, n: int, t: int) -> lis
     return out
 
 
+def _candidates(r: int, n: int, t: int, seed: int | None) -> Iterator[Instance]:
+    """The families ``find_blocking_family`` tries, in order: n matchings
+    of size t each (t >= 2).
+
+    First the gadget-derived families that exist at (r, n, t), then,
+    without end, seeded random walks: a walk is a fresh draw of n
+    perfect matchings of the complete r-partite host with parts of size
+    t, followed by 4n mutations of one matching each.  A walk's family
+    lives on t*r vertices, which hold at most t disjoint r-sets, so its
+    maximum rainbow matching is at most t; every walk candidate that is
+    not blocked scores exactly t, and there is no better family to keep.
+    """
+    if r >= 3 and t == 2 and n <= 2 ** (r - 1):
+        # beyond 2^(r-1) matchings the gadget repeats a class, and two
+        # colours sharing a class yield a rainbow pair
+        yield _gadget_family(r, n)
+    if r >= 3:
+        # gadget-product seed: a truncation of the paired-gadget family
+        # stays blocked because removing edges never helps the rainbow
+        lo = max(t, 2 ** (r - 1))
+        n_src = lo + lo % 2
+        if n_src - 2 ** (r - 2) <= t - 1 and n <= n_src:
+            yield _truncate_family(ach_instance(r, n_src), n, t)
+    if r == 2 and 2 <= n <= t:
+        yield _truncate_family(cycle_instance(t), n, t)
+    rng = random.Random(seed)
+    while True:
+        state = _random_partite_matchings(rng, r, n, t)
+        yield _matchings_to_instance(r, t, state)
+        for _ in range(4 * n):
+            _mutate_matching(rng, state[rng.randrange(n)], r, t)
+            yield _matchings_to_instance(r, t, state)
+
+
 def find_blocking_family(
     r: int, n: int, t: int, budget: int = 200, seed: int | None = 0
 ) -> BlockingFamily | None:
     """Search for n matchings of size t with no rainbow matching of size t.
 
-    Deterministic gadget-derived candidates are tried first, then a
-    randomised-restart hill climb over families of random perfect
-    matchings of the complete r-partite host on t*r vertices, mutating
-    one matching at a time and keeping moves that do not increase the
-    exact maximum.  Every returned family is certified by the exact
-    solver; ``budget`` caps the number of solver evaluations.  Returns
-    None when the budget runs out, which is an expected outcome rather
-    than an error.
+    Hands the first ``budget`` families of the candidate stream (the
+    gadget-derived families, then seeded random walks over the complete
+    r-partite host on t*r vertices) to the exact solver, and returns the
+    first one that scores below t, certified by that solve and stamped
+    with ``seed`` and ``budget``.  Returns None when the budget runs out
+    (a budget of 0 or less calls no solver), which is an expected
+    outcome rather than an error.
     """
     if t < 1:
         raise ValueError(f"blocked size must be >= 1, got {t}")
@@ -367,48 +383,11 @@ def find_blocking_family(
         raise ValueError(f"uniformity must be >= 2, got {r}")
     if t == 1:
         return None  # a single non-empty matching always yields rainbow size 1
-
-    evals = 0
-
-    def evaluate(inst: Instance) -> int:
-        nonlocal evals
-        evals += 1
-        return exact_max_rainbow(inst).size
-
-    def wrap(inst: Instance, certified: int) -> BlockingFamily:
-        meta = {**inst.meta, "blocking_seed": seed, "blocking_budget": budget}
-        stamped = Instance(inst.r, inst.matchings, inst.partition, meta)
-        return BlockingFamily(stamped, t, certified)
-
-    for cand in _deterministic_candidates(r, n, t):
-        if evals >= budget:
-            return None
-        best = evaluate(cand)
+    for cand in islice(_candidates(r, n, t, seed), max(budget, 0)):
+        best = exact_max_rainbow(cand).size
         if best < t:
-            return wrap(cand, best)
-
-    rng = random.Random(seed)
-    while evals < budget:
-        state = _random_partite_matchings(rng, r, n, t)
-        inst = _matchings_to_instance(r, t, state)
-        cur = evaluate(inst)
-        if cur < t:
-            return wrap(inst, cur)
-        stall = 0
-        while evals < budget and stall < 4 * n:
-            j = rng.randrange(n)
-            saved = list(state[j])  # the only matching the mutation changes
-            _mutate_matching(rng, state[j], r, t)
-            inst = _matchings_to_instance(r, t, state)
-            val = evaluate(inst)
-            if val < t:
-                return wrap(inst, val)
-            if val <= cur:
-                stall = stall + 1 if val == cur else 0
-                cur = val
-            else:
-                state[j] = saved
-                stall += 1
+            meta = {**cand.meta, "blocking_seed": seed, "blocking_budget": budget}
+            return BlockingFamily(Instance(r, cand.matchings, cand.partition, meta), t, best)
     return None
 
 

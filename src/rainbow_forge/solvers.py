@@ -901,14 +901,14 @@ def sample_and_extend(
     n < 16^r, and at n = 16^r for r = 2 and 3 (so for n <= 256 at
     r = 2 and n <= 4,096 at r = 3): the sample is every vertex, drawn
     without a random number, so no edge avoids the sample and the
-    conditions cannot hold.  All ``retries`` attempts then run on that
-    one sample, the off-sample search gets an empty instance, the
-    result is the greedy extension inside the sample alone, and a
-    shortfall is always a ``sampling`` failure.  Both the conditions
-    and the restricted instance walk the heads and shared tails of
-    ``inst.runs`` through ``core.map_parts``, so a dummy lift's shared
-    edges are tested once per attempt, and the colours of a run share
-    one restricted matching.
+    conditions cannot hold.  The conditions are then not tested, all
+    ``retries`` attempts are reported as spent on that one sample, the
+    off-sample search gets an empty instance, the result is the greedy
+    extension inside the sample alone, and a shortfall is always a
+    ``sampling`` failure.  Both the conditions and the restricted
+    instance walk the heads and shared tails of ``inst.runs`` through
+    ``core.map_parts``, so a dummy lift's shared edges are tested once
+    per attempt, and the colours of a run share one restricted matching.
     """
     n = inst.n
     t0 = time.perf_counter()
@@ -925,19 +925,22 @@ def sample_and_extend(
         """The numbers of ``edges`` inside the sample and off it."""
         return sum(map(sample.issuperset, edges)), sum(map(sample.isdisjoint, edges))
 
+    # at p = 1 the sample is every vertex, so no edge avoids it and the
+    # conditions cannot hold: every attempt would fail on the same sample
     checks_met = False
-    attempts = 0
-    sample: set[int] = set()
-    for attempts in range(1, max(1, retries) + 1):
-        # one draw per vertex, in sorted order, unless every vertex is kept
-        sample = set(vertices) if p_eff == 1.0 else {v for v in vertices if rng.random() < p_eff}
-        # the colours of a run hold one matching, so one test covers them
-        if all(
-            (head_in + tail_in) ** 2 >= inside_needed_sq and 2 * (head_off + tail_off) >= (r + 1) * n
-            for (head_in, head_off), (tail_in, tail_off), _ in map_parts(kept, inst)
-        ):
-            checks_met = True
-            break
+    attempts = max(1, retries)
+    sample = set(vertices)
+    if p_eff < 1.0:
+        for attempts in range(1, max(1, retries) + 1):
+            # one draw per vertex, in sorted order
+            sample = {v for v in vertices if rng.random() < p_eff}
+            # the colours of a run hold one matching, so one test covers them
+            if all(
+                (head_in + tail_in) ** 2 >= inside_needed_sq and 2 * (head_off + tail_off) >= (r + 1) * n
+                for (head_in, head_off), (tail_in, tail_off), _ in map_parts(kept, inst)
+            ):
+                checks_met = True
+                break
 
     off_sample = map_parts(lambda m: tuple(filter(sample.isdisjoint, m)), inst)
     restricted = Instance(

@@ -127,8 +127,11 @@ def test_unreadable_inputs_exit_2_naming_the_path(tmp_path, capsys):
     latin_report = tmp_path / "latin.json"
     note = '{"note": "caf\xe9",'.encode("latin-1")
     latin_report.write_bytes(report_path.read_bytes().replace(b"{", note, 1))
+    through = inst_path / "x.rbf"  # a path through a regular file
     capsys.readouterr()
     cases = [
+        (["solve", "--in", str(through), "--solver", "exact"], f"{through} needs a directory"),
+        (["verify", "--in", str(inst_path), "--report", str(through)], f"{through} needs a directory"),
         (["solve", "--in", str(folder), "--solver", "exact"], f"{folder} is a directory"),
         (["verify", "--in", str(folder), "--report", str(report_path)], f"{folder} is a directory"),
         (["verify", "--in", str(inst_path), "--report", str(folder)], f"{folder} is a directory"),
@@ -142,7 +145,8 @@ def test_unreadable_inputs_exit_2_naming_the_path(tmp_path, capsys):
     ]
     for argv, message in cases:
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err.startswith(f"unreadable file: {message}"), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"unreadable file: {message}") and err.count("\n") == 1, argv
 
 
 @pytest.mark.parametrize(
@@ -160,10 +164,28 @@ def test_output_directory_exits_2_naming_the_path(tmp_path, capsys, argv):
     folder = tmp_path / "folder"
     folder.mkdir()
     capsys.readouterr()
-    argv = [a.format(inst=inst_path) for a in argv] + ["--out", str(folder)]
-    assert main(argv) == 2
+    argv = [a.format(inst=inst_path) for a in argv]
+    assert main(argv + ["--out", str(folder)]) == 2
     assert capsys.readouterr().err.startswith(f"unwritable file: {folder} is a directory")
     assert list(folder.iterdir()) == []
+    # a path through a regular file
+    data = inst_path.read_bytes()
+    through = inst_path / "x.out"
+    assert main(argv + ["--out", str(through)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"unwritable file: {through} needs a directory") and err.count("\n") == 1
+    assert inst_path.read_bytes() == data
+
+
+def test_sweep_out_through_a_file_exits_2_naming_the_path(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "results"):
+        argv = ["sweep", "--construction", "ach", "--r", "3", "--n", "4", "--solver", "exact"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"unwritable file: {out} needs a directory") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
 
 
 def test_instance_files_are_utf8(tmp_path):

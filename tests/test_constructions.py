@@ -1,9 +1,11 @@
+import itertools
 from types import SimpleNamespace
 
 import pytest
 
 import rainbow_forge as rf
 
+from blocking_reference import reference_find_blocking_family
 from oracle import brute_force_max_rainbow
 
 
@@ -175,7 +177,7 @@ def test_find_blocking_family_certified():
 
 @pytest.mark.parametrize("r, n, t", [(2, 4, 3), (3, 5, 3)])
 def test_find_blocking_family_climbs_to_a_certified_family(r, n, t):
-    # no deterministic candidate exists here: the hill climb finds it
+    # no deterministic candidate exists here: a random walk finds it
     bf = rf.find_blocking_family(r, n, t, budget=200, seed=0)
     assert bf is not None
     assert bf.inst.meta["generator"] == "blocking-search"
@@ -201,13 +203,14 @@ def test_find_blocking_family_impossible_cases():
 
 
 def test_find_blocking_family_budget_can_run_out_among_the_candidates(monkeypatch):
-    # the gadget family is a candidate at (3, 4, 2); a budget of 0 stops
-    # before the solver sees it
+    # the gadget family is a candidate at (3, 4, 2); a budget of 0, or
+    # below, stops before the solver sees it
     def unreachable(inst):
-        raise AssertionError("no evaluation within a budget of 0")
+        raise AssertionError("no evaluation within a budget of 0 or less")
 
     monkeypatch.setattr(rf.constructions, "exact_max_rainbow", unreachable)
-    assert rf.find_blocking_family(3, 4, 2, budget=0) is None
+    for budget in (0, -1):
+        assert rf.find_blocking_family(3, 4, 2, budget=budget) is None
 
 
 def _scripted_sizes(monkeypatch, sizes):
@@ -234,23 +237,6 @@ def test_find_blocking_family_returns_a_fresh_random_family_already_blocked(monk
     assert bf.inst.meta["generator"] == "blocking-search"
 
 
-def test_find_blocking_family_rejects_a_worse_mutation(monkeypatch):
-    # the fresh family reaches 3 = t, the first mutation scores worse and
-    # is undone, and the second, made on the saved family, blocks
-    seen = _scripted_sizes(monkeypatch, [3, 4, 2])
-    bf = rf.find_blocking_family(2, 5, 3, seed=1)
-    fresh, worse, blocked = (inst.matchings for inst in seen)
-    assert bf.inst.matchings == blocked and bf.certified_max == 2
-
-    def changed(matchings):
-        return [j for j in range(5) if matchings[j] != fresh[j]]
-
-    # each mutation changes one matching of the fresh family: the second
-    # does not keep the first's change
-    assert changed(worse) == [4]
-    assert changed(blocked) == [0]
-
-
 def test_find_blocking_family_r2_cycle_seed():
     bf = rf.find_blocking_family(2, 3, 3, budget=20, seed=0)
     assert bf is not None
@@ -267,6 +253,55 @@ def test_find_blocking_family_r2_one_above_n_is_a_truncated_cycle(n):
     assert bf.inst.meta["generator"] == "truncated-cycle"
     assert [len(m) for m in bf.inst.matchings] == [n + 1] * n
     assert bf.certified_max == n < bf.blocked_size
+
+
+def _recording(solver, log):
+    """``solver`` that appends each (matchings, size) it returns to ``log``."""
+
+    def exact(inst):
+        report = solver(inst)
+        log.append((inst.matchings, report.size))
+        return report
+
+    return exact
+
+
+def test_find_blocking_family_matches_the_hill_climb_reference(monkeypatch):
+    # the climb keeps every mutation, since no random family scores above
+    # t, so the stream hands the solver the same families in the same
+    # order and returns the same family, meta included, or None
+    solver = rf.constructions.exact_max_rainbow
+    found = 0
+    for r, n, t, seed, budget in itertools.product(
+        (2, 3, 4), range(1, 8), range(1, 5), range(3), (-1, 0, 1, 7, 60)
+    ):
+        expected_log: list = []
+        expected = reference_find_blocking_family(
+            r, n, t, _recording(solver, expected_log), budget=budget, seed=seed
+        )
+        got_log: list = []
+        monkeypatch.setattr(rf.constructions, "exact_max_rainbow", _recording(solver, got_log))
+        got = rf.find_blocking_family(r, n, t, budget=budget, seed=seed)
+        args = (r, n, t, seed, budget)
+        assert got == expected, args
+        assert got_log == expected_log, args
+        found += got is not None
+    assert found == 380
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_random_walk_candidates_score_at_most_t(r):
+    # a walk's family lives on t*r vertices, which hold at most t
+    # disjoint r-sets
+    for t in range(2, 5):
+        for n in range(1, 7):
+            walks = (
+                c for c in rf.constructions._candidates(r, n, t, seed=0)
+                if c.meta["generator"] == "blocking-search"
+            )
+            for cand in itertools.islice(walks, 20):
+                assert cand.vertex_count() == t * r and cand.min_matching_size() == t
+                assert rf.exact_max_rainbow(cand).size <= t, (r, n, t)
 
 
 def test_psz_composition_params_values():

@@ -605,6 +605,28 @@ def test_sample_and_extend_failure_names_stage():
     assert rf.is_rainbow_matching(inst, res.best)
 
 
+def test_sample_and_extend_at_p_one_walks_the_family_once(monkeypatch):
+    # at p = 1 no edge avoids the sample, so the per-colour conditions
+    # are not tested: the one walk is the off-sample filter, and every
+    # retry is still reported as an attempt
+    calls = []
+    map_parts = solvers.map_parts
+
+    def counting_map_parts(f, inst):
+        calls.append(inst)
+        return map_parts(f, inst)
+
+    monkeypatch.setattr(solvers, "map_parts", counting_map_parts)
+    inst = rf.random_instance(3, 12, 12, seed=5)
+    for retries in (1, 7):
+        calls.clear()
+        res = rf.sample_and_extend(inst, seed=1, retries=retries)
+        d = res.diagnostics if isinstance(res, rf.SampleExtendFailure) else res.stats.extra
+        attempts = res.attempts if isinstance(res, rf.SampleExtendFailure) else d["attempts"]
+        assert d["p_effective"] == 1.0 and d["checks_met"] is False and attempts == retries
+        assert calls == [inst]
+
+
 def test_sample_and_extend_reports_the_tail_bounds_below_p_one():
     # p = 4 n^(-1/(2r)) drops below 1 once n^(1/4) > 4 at r = 2
     inst = rf.random_instance(2, 257, 5, 1)
