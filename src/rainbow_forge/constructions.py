@@ -4,18 +4,61 @@ Every generator allocates vertices densely from 0 and records its name
 and parameters in the instance metadata.  Partitioned generators supply
 the r-partition explicitly; it is never inferred.  All outputs pass
 :func:`rainbow_forge.core.validate_instance` with an empty report.
+
+``ach_instance``, ``k4_union_instance``, ``blowup_compose`` and
+``dummy_lift`` are disjoint unions of parts with one matching count n,
+built by ``_disjoint_union``: colour j is the parts' matchings j in part
+order, each part's vertices moved past those of the parts before it (by
+the running sum of ``vertex_count()``; a part moved by 0 keeps its edge
+objects).  A part's matching is moved once per run of that part, and a
+run's shared tail is taken from the previous run's moved edges, so what
+the part shares stays shared: a run of the union starts where some
+part's run starts, and a lift's dummy edges are one set of objects.  The
+union is partitioned, by the parts' partitions joined, when every part
+is, and unpartitioned otherwise.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple, Sequence
 
 from .bounds import _domain, nth_root_floor
-from .core import Edge, Instance, make_edge, map_runs
+from .core import Edge, Instance, Matching, make_edge, map_parts, map_runs
 from .solvers import exact_max_rainbow
+
+
+def _disjoint_union(parts: Sequence[Instance]) -> tuple[tuple[Matching, ...], tuple[int, ...] | None, list[int]]:
+    """The matchings, partition and vertex offsets of the disjoint union
+    of ``parts``, which all have the same n, as the module docstring
+    states it.  Each distinct part object is measured and walked once."""
+    n = parts[0].n
+    distinct = {id(p): p for p in parts}
+    sizes = {i: p.vertex_count() for i, p in distinct.items()}
+    offsets = list(accumulate((sizes[id(p)] for p in parts[:-1]), initial=0))
+    walks = {i: list(map_parts(tuple, p)) for i, p in distinct.items()}
+    columns = []  # per part: its matching of each colour
+    for p, d in zip(parts, offsets):
+        column: list[Matching] = []
+        moved: Matching = ()
+        for head, tail, colours in walks[id(p)]:
+            head = tuple([tuple([v + d for v in e]) for e in head]) if d else head
+            # the shared tail is the previous run's last edges, moved already
+            moved = head + moved[len(moved) - len(tail) :]
+            column += [moved] * len(colours)
+        columns.append(column)
+    starts = sorted({colours.start for p in distinct.values() for _, colours in p.runs})
+    matchings: list[Matching] = []
+    for j, end in zip(starts, [*starts[1:], n]):
+        edges: list[Edge] = []
+        for column in columns:
+            edges += column[j]
+        matchings += [tuple(edges)] * (end - j)
+    partitions = [p.partition for p in parts]
+    partition = None if None in partitions else tuple(chain.from_iterable(partitions))  # type: ignore[arg-type]
+    return tuple(matchings), partition, offsets
 
 
 def cycle_instance(n: int) -> Instance:
@@ -50,15 +93,8 @@ def k4_union_instance(n: int) -> Instance:
     no rainbow matching of size n exists."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"k4_union_instance needs odd n >= 3, got {n}")
-    copies = (n + 1) // 2
-    classes: list[list[Edge]] = [[], [], []]
-    for c in range(copies):
-        base = 4 * c
-        for cls, pairs in zip(classes, _K4_CLASSES):
-            for a, b in pairs:
-                cls.append((base + a, base + b))
-    red, green, blue = map(tuple, classes)
-    matchings = tuple(red for _ in range(n - 2)) + (green, blue)
+    block = Instance(r=2, matchings=(_K4_CLASSES[0],) * (n - 2) + _K4_CLASSES[1:])
+    matchings, _, _ = _disjoint_union([block] * ((n + 1) // 2))
     return Instance(r=2, matchings=matchings, meta={"generator": "k4", "n": n})
 
 
@@ -97,25 +133,8 @@ def ach_instance(r: int, n: int) -> Instance:
         raise ValueError(f"ach_instance needs r >= 3, got {r}")
     if n % 2 or n < 2 ** (r - 1):
         raise ValueError(f"ach_instance needs even n >= 2^(r-1) = {2 ** (r - 1)}, got {n}")
-    copies = n // 2
-    classes = _gadget_classes(r)
-    class_edges: list[list[Edge]] = [[] for _ in classes]
-    partition = []
-    for c in range(copies):
-        base = 2 * r * c
-        partition.extend(list(range(r)) * 2)
-        for idx, (e, f) in enumerate(classes):
-            class_edges[idx].append(tuple(base + v for v in e))
-            class_edges[idx].append(tuple(base + v for v in f))
-    last = 2 ** (r - 1) - 1
-    class_tuples = [tuple(es) for es in class_edges]
-    matchings = tuple(class_tuples[min(i, last)] for i in range(n))
-    return Instance(
-        r=r,
-        matchings=matchings,
-        partition=tuple(partition),
-        meta={"generator": "ach", "r": r, "n": n},
-    )
+    matchings, partition, _ = _disjoint_union([_gadget_family(r, n)] * (n // 2))
+    return Instance(r, matchings, partition, {"generator": "ach", "r": r, "n": n})
 
 
 @dataclass(frozen=True)
@@ -165,31 +184,16 @@ def blowup_compose(parts: Sequence[BlockingFamily]) -> Instance:
     for bf in parts:
         if bf.inst.r != r or bf.inst.n != n:
             raise ValueError("all parts must share the same uniformity r and matching count n")
-    offsets = []
-    offset = 0
-    matchings: list[list[Edge]] = [[] for _ in range(n)]
-    partitions: list[int] = []
-    partitioned = all(bf.inst.partition is not None for bf in parts)
-    for bf in parts:
-        offsets.append(offset)
-        for j, m in enumerate(bf.inst.matchings):
-            matchings[j].extend(tuple(v + offset for v in e) for e in m)
-        if partitioned:
-            partitions.extend(bf.inst.partition)  # type: ignore[arg-type]
-        offset += bf.inst.vertex_count()
+    matchings, partition, offsets = _disjoint_union([bf.inst for bf in parts])
     blocked = sum(bf.blocked_size for bf in parts) - len(parts) + 1
-    return Instance(
-        r=r,
-        matchings=tuple(map(tuple, matchings)),
-        partition=tuple(partitions) if partitioned else None,
-        meta={
-            "generator": "blowup",
-            "parts": len(parts),
-            "offsets": ",".join(str(o) for o in offsets),
-            "blocked_sizes": ",".join(str(bf.blocked_size) for bf in parts),
-            "composed_blocked_size": blocked,
-        },
-    )
+    meta = {
+        "generator": "blowup",
+        "parts": len(parts),
+        "offsets": ",".join(str(o) for o in offsets),
+        "blocked_sizes": ",".join(str(bf.blocked_size) for bf in parts),
+        "composed_blocked_size": blocked,
+    }
+    return Instance(r, matchings, partition, meta)
 
 
 def dummy_lift(inst: Instance, m: int) -> Instance:
@@ -207,20 +211,11 @@ def dummy_lift(inst: Instance, m: int) -> Instance:
         raise ValueError(f"dummy count must be non-negative, got {m}")
     if m == 0:
         return inst
-    base = inst.vertex_count()
-    dummies = tuple(
-        tuple(range(base + k * inst.r, base + (k + 1) * inst.r)) for k in range(m)
-    )
-    matchings = map_runs(lambda mt: mt + dummies, inst.runs)
-    partition = inst.partition
-    if partition is not None:
-        partition = partition + tuple(range(inst.r)) * m
-    return Instance(
-        r=inst.r,
-        matchings=matchings,
-        partition=partition,
-        meta={**inst.meta, "generator": "dummy", "m": m, "base": inst.meta.get("generator", "given")},
-    )
+    dummies = tuple(tuple(range(k * inst.r, (k + 1) * inst.r)) for k in range(m))
+    lift = Instance(r=inst.r, matchings=(dummies,) * inst.n, partition=tuple(range(inst.r)) * m)
+    matchings, partition, _ = _disjoint_union([inst, lift])
+    meta = {**inst.meta, "generator": "dummy", "m": m, "base": inst.meta.get("generator", "given")}
+    return Instance(inst.r, matchings, partition, meta)
 
 
 def random_instance(r: int, n: int, s: int, seed: int | None = None) -> Instance:
@@ -293,16 +288,12 @@ def psz_composition_params(r: int, n: int) -> PszParams:
 
 
 def _gadget_family(r: int, n: int) -> Instance:
-    """A single gadget copy as n matchings of size 2, blocked at 2."""
+    """A single gadget copy as n matchings of size 2, blocked at 2: the
+    first 2^(r-1) - 1 colours take distinct classes and the rest repeat
+    the last.  ``ach_instance`` is the union of n/2 copies."""
     classes = _gadget_classes(r)
-    last = 2 ** (r - 1) - 1
-    matchings = tuple(classes[min(i, last)] for i in range(n))
-    return Instance(
-        r=r,
-        matchings=matchings,
-        partition=tuple(list(range(r)) * 2),
-        meta={"generator": "gadget", "r": r, "n": n},
-    )
+    matchings = tuple(classes[min(i, len(classes) - 1)] for i in range(n))
+    return Instance(r, matchings, tuple(range(r)) * 2, {"generator": "gadget", "r": r, "n": n})
 
 
 def _truncate_family(inst: Instance, n: int, t: int) -> Instance:

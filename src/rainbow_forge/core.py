@@ -121,12 +121,14 @@ def _shared_tail(m: Matching, prev: Matching) -> int:
 
 def _is_canonical(m: Matching) -> bool:
     """True when the constructor would store ``m`` as it is: a tuple in
-    lexicographic order of tuples of exact ints.  Order is tested first,
-    so unsorted input fails at once."""
+    lexicographic order of tuples of exact ints.  The edge types are
+    tested before the order, so a list edge among tuple edges fails there
+    instead of raising in the comparison; unsorted tuple edges fail at
+    the order test, before their vertices are read."""
     return (
         type(m) is tuple
-        and all(map(le, m, islice(m, 1, None)))
         and set(map(type, m)) <= {tuple}
+        and all(map(le, m, islice(m, 1, None)))
         and set(map(type, chain.from_iterable(m))) <= {int}
     )
 
@@ -160,8 +162,9 @@ class Instance:
     instances that differ only in that order are equal.  A matching
     given as a tuple already in that order, of tuples of ``int`` (not
     ``bool`` or another subclass), is stored as the same object; any
-    other is copied, its edges sorted before they are copied so that
-    the copies lie in memory in sorted order.  Consecutive colours that
+    other is copied, its edges sorted (each compared as a tuple, so list
+    and tuple edges may be mixed) before they are copied so that the
+    copies lie in memory in sorted order.  Consecutive colours that
     hold the same object have it checked and copied once, and share the
     stored one.
 
@@ -203,7 +206,7 @@ class Instance:
             if type(m) is tuple and _is_canonical(m[: len(m) - k + 1]):
                 kept = m
             else:
-                m, k, kept, copied = tuple(tuple(map(index, e)) for e in sorted(m)), 0, None, True
+                m, k, kept, copied = tuple(tuple(map(index, e)) for e in sorted(m, key=tuple)), 0, None, True
             stored.append(m)
             tails.append(k)
         runs = tuple(zip(stored, colours))

@@ -154,6 +154,19 @@ def test_constructor_normalises_a_sorted_non_canonical_matching(m):
     assert all(type(e) is tuple and all(type(v) is int for v in e) for e in edges)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [([0, 1], (2, 3)), ((0, 1), [2, 3]), ([2, 3], (0, 1))],
+    ids=["list-then-tuple", "tuple-then-list", "unsorted"],
+)
+def test_constructor_normalises_a_matching_of_list_and_tuple_edges(m):
+    # RainbowMatching normalises the same mix; comparing a list edge with
+    # a tuple edge must not raise TypeError
+    inst = rf.Instance(r=2, matchings=(m,))
+    assert inst == rf.Instance(r=2, matchings=(((0, 1), (2, 3)),))
+    assert all(type(e) is tuple for e in inst.matchings[0])
+
+
 @pytest.mark.parametrize("r", [3.0, "3"], ids=["float", "string"])
 def test_constructor_rejects_a_non_integer_r(r):
     with pytest.raises(TypeError):

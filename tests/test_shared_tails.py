@@ -243,18 +243,22 @@ def test_shared_tails_validate_and_serialize_as_with_every_edge_copied(family):
 
 
 def test_a_lift_shares_its_dummy_edges_from_run_1_on():
-    lift = rf.dummy_lift(rf.random_instance(3, 30, 5, 1), 7)
-    assert lift.tails == (0,) + (7,) * 29
-    _check_tails(lift)
-    # a matching of copied edges shares nothing with either neighbour
-    ms = list(lift.matchings)
-    ms[10] = tuple(tuple([*e]) for e in ms[10])
-    broken = rf.Instance(3, tuple(ms))
-    assert broken.tails == (0,) + (7,) * 9 + (0, 0) + (7,) * 18
-    # a predecessor given as a list is copied: the next run shares nothing
-    ms = list(lift.matchings)
-    ms[10] = list(ms[10])
-    assert rf.Instance(3, tuple(ms)).tails == (0,) + (7,) * 9 + (0, 0) + (7,) * 18
+    # the second lift is the benchmark's: 300 matchings on the same 595 edges
+    for n, m in ((30, 7), (300, 595)):
+        lift = rf.dummy_lift(rf.random_instance(3, n, 5, 1), m)
+        assert lift.tails == (0,) + (m,) * (n - 1)
+        _check_tails(lift)
+        # the shared edges are one set of objects
+        assert len({id(e) for matching in lift.matchings for e in matching[-m:]}) == m
+        # a matching of copied edges shares nothing with either neighbour
+        ms = list(lift.matchings)
+        ms[10] = tuple(tuple([*e]) for e in ms[10])
+        broken = rf.Instance(3, tuple(ms))
+        assert broken.tails == (0,) + (m,) * 9 + (0, 0) + (m,) * (n - 12)
+        # a predecessor given as a list is copied: the next run shares nothing
+        ms = list(lift.matchings)
+        ms[10] = list(ms[10])
+        assert rf.Instance(3, tuple(ms)).tails == (0,) + (m,) * 9 + (0, 0) + (m,) * (n - 12)
 
 
 def test_random_families_share_no_tail():
