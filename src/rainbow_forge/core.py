@@ -21,7 +21,10 @@ an assignment already in that order of exact-int pairs, as
 an edge is kept as given and repeated edges are kept, so
 :func:`validate_instance` still reports them.  It checks the
 combinatorial invariants and reports violations as data instead of
-raising, so malformed inputs can be inspected.
+raising, so malformed inputs can be inspected.  Whether a matching is
+a matching of r-sets is decided in one place, ``_is_r_matching``, with
+two users: :func:`validate_instance`'s whole-matching check and the
+exact solver, which raises on a colour that fails it.
 
 Colours may share one matching object: the paper's families repeat a
 few colour classes many times, the generators build each class once
@@ -272,18 +275,21 @@ class RainbowMatching:
         return tuple(e for _, e in self.assignment)
 
 
+def _is_r_matching(m: Matching, r: int) -> bool:
+    """True when ``m`` is a matching of r-sets: every edge has ``r``
+    entries and the r·len(m) vertices are pairwise distinct, so none
+    repeats in an edge or is shared.  Two C-level tests; vertex order,
+    signs and parts are not looked at."""
+    return set(map(len, m)) <= {r} and len(set(chain.from_iterable(m))) == r * len(m)
+
+
 def _matching_is_valid(m: Matching, r: int, bits: list[int] | None) -> bool:
     """True when no edge of ``m`` has a violation, checked over the whole
     matching with C-level builtins.  ``bits[v]`` is ``1 << partition[v]``,
     given only when every part index is in ``range(r)``."""
-    if not m:
-        return True
-    if set(map(len, m)) != {r}:
+    if not _is_r_matching(m, r):
         return False
-    # r·len(m) vertices, all distinct: none repeats in an edge or is shared
-    if len(set(chain.from_iterable(m))) != r * len(m):
-        return False
-    if r == 0:
+    if not m or r == 0:
         return True
     cols = list(zip(*m))
     if min(cols[0]) < 0 or not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):

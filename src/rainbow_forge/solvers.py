@@ -10,9 +10,10 @@ bound; the reported size is deterministic.  The search state of a
 class is one integer, the union of its live edges' bitmasks: a class
 is a matching, so the union alone tells how many edges are live, which
 comes first, and which of them an edge picked in another class
-removes.  Every colour must therefore be a matching of r-sets; the
-exact solver raises ValueError naming a colour that is not, whichever
-path it takes.
+removes.  Every colour must therefore be a matching of r-sets: before
+the incumbent and the table, the exact solver checks each run of
+colours with ``core``'s matching test and raises ValueError naming the
+first colour that is not, whichever path it then takes.
 
 A disjoint union of small pieces, which every family of the paper is,
 is solved one component at a time instead.  A union-find over the
@@ -77,8 +78,9 @@ for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
 bits whatever the vertex ids are, and groups the runs of
 ``Instance.runs`` with identical edge sets into the exact solver's
-classes.  One pass over the classes' edges checks them, maps their
-bits to edges and runs the union-find; both exact paths read it.
+classes.  One pass over the classes' edges maps their bits to edges
+and runs the union-find; both exact paths read it.  The table checks
+nothing: it is built only from colours that passed the check.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, Sequence
 
 from .core import Edge, Instance, Matching, RainbowMatching, is_rainbow_matching, map_parts, map_runs
+from .core import _is_r_matching
 
 CERT_EXACT = "exact-optimum"
 CERT_LOCAL = "local-optimum"
@@ -210,14 +213,13 @@ class _Table:
     Besides the classes it holds the connected components, as bitmasks
     over the dense ids ordered by their lowest vertex (``comps``), and
     the component index of each dense id (``label``); every vertex of
-    the table lies on an edge.  Raises ValueError naming the colour when
-    a class's edges are not pairwise disjoint r-sets, on which the
-    bounds of both exact paths, which count r vertices per edge, would
-    be wrong.
+    the table lies on an edge.  It neither checks nor raises: every
+    class must be a matching of r-sets, which ``exact_max_rainbow``
+    checks before it builds the table, since the bounds of both exact
+    paths count r vertices per edge.
     """
 
     def __init__(self, inst: Instance):
-        r = inst.r
         # dense vertex ids, sorted(vertices) -> 0..V-1
         index = self.index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
         parent = list(range(len(index)))
@@ -249,8 +251,6 @@ class _Table:
                         a = b
                     elif b != a:
                         parent[b] = a
-                if mk.bit_count() != r:
-                    raise ValueError(f"colour {members[0]}: edge {e} is not a {r}-set")
                 union |= mk
                 of[mk] = e
                 rem = mk
@@ -258,8 +258,6 @@ class _Table:
                     low = rem & -rem
                     at[bits.setdefault(low, low)] = mk
                     rem ^= low
-            if union.bit_count() != r * len(es):
-                raise ValueError(f"colour {members[0]}: edges intersect, so it is not a matching")
             self.classes.append(_ColourClass(tuple(members), es, union, at, of))
 
         first: dict[int, int] = {}
@@ -649,9 +647,11 @@ def exact_max_rainbow(
     With an unexhausted budget the certificate is ``exact-optimum`` and
     the size is the true maximum; if the search explores ``node_budget``
     nodes first, the best matching found so far is returned with
-    certificate ``heuristic``.  Either path raises ValueError on a
-    colour that is not a matching of r-sets, which no valid instance
-    has.
+    certificate ``heuristic``.  Before any other work, the local search
+    included, every run of colours goes through ``core``'s test for a
+    matching of r-sets, and the first colour that fails raises
+    ValueError, naming its first edge of other than r distinct vertices
+    or else saying that its edges intersect.  No valid instance fails.
 
     A given ``incumbent`` must be a rainbow matching of ``inst``, which
     is not checked here.  It replaces the local search and nothing else:
@@ -660,15 +660,18 @@ def exact_max_rainbow(
     optimal incumbent that meets the root bound is proved at the root.
     """
     t0 = time.perf_counter()
+    r = inst.r
+    for es, colours in inst.runs:
+        if not _is_r_matching(es, r):
+            why = next((f"edge {e} is not a {r}-set" for e in es if not _is_r_matching((e,), r)), None)
+            raise ValueError(f"colour {colours[0]}: {why or 'edges intersect, so it is not a matching'}")
     if incumbent is None:
         incumbent = local_search_rainbow(inst).matching
     table = _Table(inst)
     extra: dict[str, Any] = {"incumbent_size": incumbent.size}
-    solved = _by_components(table, inst.r, node_budget, incumbent)
+    solved = _by_components(table, r, node_budget, incumbent)
     if solved is None:
-        witness, nodes, exhausted = _branch_and_bound(
-            table.classes, inst.r, node_budget, incumbent
-        )
+        witness, nodes, exhausted = _branch_and_bound(table.classes, r, node_budget, incumbent)
     else:
         witness, nodes, parts = solved
         exhausted = False
@@ -943,11 +946,9 @@ def sample_and_extend(
                 break
 
     off_sample = map_parts(lambda m: tuple(filter(sample.isdisjoint, m)), inst)
+    # local search reads only r and the matchings
     restricted = Instance(
-        r=inst.r,
-        matchings=map_runs(lambda m: m, ((head + tail, colours) for head, tail, colours in off_sample)),
-        partition=inst.partition,
-        meta={**inst.meta, "restricted": "off-sample"},
+        r, map_runs(lambda m: m, ((head + tail, colours) for head, tail, colours in off_sample))
     )
     inner = local_search_rainbow(restricted, seed=rng.randrange(2 ** 32))
     current = dict(inner.matching.assignment)

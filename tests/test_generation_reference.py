@@ -115,6 +115,21 @@ def test_sample_and_extend_below_p_one_solves_off_the_sample():
     assert _report(got) == _report(generation_reference.sample_and_extend(inst, seed=1))
 
 
+def test_sample_and_extend_meets_the_sampling_conditions_on_a_lift():
+    # p = 4 n^(-1/4) is about 0.71 at r = 2, n = 1000, and the 20,000
+    # shared edges leave every colour enough edges off the sample and in
+    # it, so the first sample meets the conditions and the off-sample
+    # search alone gives every colour an edge
+    inst = rf.dummy_lift(rf.cycle_instance(1000), 20000)
+    got = rf.sample_and_extend(inst, seed=1)
+    assert isinstance(got, rf.SolveReport) and got.matching.size == 1000
+    extra = got.stats.extra
+    assert extra["p_effective"] < 1 and extra["checks_met"] and extra["attempts"] == 1
+    assert extra["off_sample_size"] == 1000
+    assert rf.is_rainbow_matching(inst, got.matching)
+    assert _report(got) == _report(generation_reference.sample_and_extend(inst, seed=1))
+
+
 def test_sample_and_extend_at_p_one_draws_nothing(monkeypatch):
     # p = 4 n^(-1/(2r)) clamps to 1 on both: the sample is every vertex,
     # so no attempt draws a number and the result is the greedy matching

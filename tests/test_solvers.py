@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -165,9 +166,28 @@ def test_exact_rejects_an_edge_of_the_wrong_size():
         rf.exact_max_rainbow(inst)
 
 
+def test_exact_rejects_an_edge_with_a_repeated_vertex():
+    # (1, 1, 2) and (1, 1, 2, 2) each cover two distinct vertices, but
+    # only an edge of exactly r distinct entries is an r-set
+    for edge in ((1, 1, 2), (1, 1, 2, 2)):
+        inst = rf.Instance(r=2, matchings=((edge,),))
+        with pytest.raises(ValueError, match=rf"colour 0: edge {re.escape(str(edge))} is not a 2-set"):
+            rf.exact_max_rainbow(inst)
+
+
+def test_exact_checks_every_colour_before_the_incumbent(monkeypatch):
+    def no_incumbent(inst, seed=None):
+        raise AssertionError("the local search ran before the check")
+
+    monkeypatch.setattr(solvers, "local_search_rainbow", no_incumbent)
+    inst = rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),)))
+    with pytest.raises(ValueError, match="colour 0: edges intersect, so it is not a matching"):
+        rf.exact_max_rainbow(inst)
+
+
 def test_exact_rejects_a_bad_colour_when_solving_by_components():
     # ach(3, 8) is four gadgets side by side, which the component path
-    # solves; the table checks every colour before either path runs
+    # solves; exact_max_rainbow checks every colour before either path runs
     inst = rf.ach_instance(3, 8)
     matchings = list(inst.matchings)
     matchings[7] = tuple(e[:2] for e in matchings[7])
