@@ -16,6 +16,14 @@ the part shares stays shared: a run of the union starts where some
 part's run starts, and a lift's dummy edges are one set of objects.  The
 union is partitioned, by the parts' partitions joined, when every part
 is, and unpartitioned otherwise.
+
+``find_blocking_family``'s random walks keep each matching of the
+complete r-partite host (parts of size t, part j on vertices
+j*t .. j*t + t - 1) as its r part columns: column j lists part j's
+vertices, and edge i takes the i-th vertex of every column.  A walk
+starts with one shuffle per column, and a mutation swaps two positions
+of one column, which swaps the part-j vertices of two edges and keeps
+the matching perfect.
 """
 
 from __future__ import annotations
@@ -307,16 +315,15 @@ def _truncate_family(inst: Instance, n: int, t: int) -> Instance:
     )
 
 
-def _random_partite_matchings(rng: random.Random, r: int, n: int, t: int) -> list[list[Edge]]:
-    """n random perfect matchings of the complete r-partite host with
-    parts of size t (part j occupies vertices j*t .. j*t + t - 1)."""
-    out = []
-    for _ in range(n):
-        cols = [list(range(j * t, (j + 1) * t)) for j in range(r)]
-        for col in cols:
-            rng.shuffle(col)
-        out.append([make_edge(col[i] for col in cols) for i in range(t)])
-    return out
+def _host_matching_columns(rng: random.Random, r: int, t: int) -> list[list[int]]:
+    """A random perfect matching of the complete r-partite host with
+    parts of size t, as its r part columns: column j is a shuffle of
+    part j's vertices j*t .. j*t + t - 1, and edge i takes the i-th
+    vertex of every column."""
+    cols = [list(range(j * t, (j + 1) * t)) for j in range(r)]
+    for col in cols:
+        rng.shuffle(col)
+    return cols
 
 
 def _candidates(r: int, n: int, t: int, seed: int | None) -> Iterator[Instance]:
@@ -326,7 +333,10 @@ def _candidates(r: int, n: int, t: int, seed: int | None) -> Iterator[Instance]:
     First the gadget-derived families that exist at (r, n, t), then,
     without end, seeded random walks: a walk is a fresh draw of n
     perfect matchings of the complete r-partite host with parts of size
-    t, followed by 4n mutations of one matching each.  A walk's family
+    t, each kept as its r part columns, followed by 4n mutations, each
+    one swap of two positions in one column of one matching.  Every walk
+    candidate takes edge i of a matching from position i of its columns,
+    and the stream builds its partition and meta once.  A walk's family
     lives on t*r vertices, which hold at most t disjoint r-sets, so its
     maximum rainbow matching is at most t; every walk candidate that is
     not blocked scores exactly t, and there is no better family to keep.
@@ -345,12 +355,16 @@ def _candidates(r: int, n: int, t: int, seed: int | None) -> Iterator[Instance]:
     if r == 2 and 2 <= n <= t:
         yield _truncate_family(cycle_instance(t), n, t)
     rng = random.Random(seed)
+    partition = tuple(j for j in range(r) for _ in range(t))
+    meta = {"generator": "blocking-search", "t": t}
     while True:
-        state = _random_partite_matchings(rng, r, n, t)
-        yield _matchings_to_instance(r, t, state)
+        state = [_host_matching_columns(rng, r, t) for _ in range(n)]
+        yield Instance(r, tuple(tuple(zip(*cols)) for cols in state), partition, meta)
         for _ in range(4 * n):
-            _mutate_matching(rng, state[rng.randrange(n)], r, t)
-            yield _matchings_to_instance(r, t, state)
+            col = state[rng.randrange(n)][rng.randrange(r)]
+            x, y = rng.sample(range(t), 2)
+            col[x], col[y] = col[y], col[x]
+            yield Instance(r, tuple(tuple(zip(*cols)) for cols in state), partition, meta)
 
 
 def find_blocking_family(
@@ -380,25 +394,3 @@ def find_blocking_family(
             meta = {**cand.meta, "blocking_seed": seed, "blocking_budget": budget}
             return BlockingFamily(Instance(r, cand.matchings, cand.partition, meta), t, best)
     return None
-
-
-def _matchings_to_instance(r: int, t: int, state: list[list[Edge]]) -> Instance:
-    return Instance(
-        r=r,
-        matchings=tuple(map(tuple, state)),
-        partition=tuple(j for j in range(r) for _ in range(t)),
-        meta={"generator": "blocking-search", "t": t},
-    )
-
-
-def _mutate_matching(rng: random.Random, matching: list[Edge], r: int, t: int) -> None:
-    """Swap the part-j vertices of two edges of one matching (keeps it a
-    perfect matching of the r-partite host)."""
-    j = rng.randrange(r)
-    x, y = rng.sample(range(t), 2)
-    ex, ey = list(matching[x]), list(matching[y])
-    vx = next(i for i, v in enumerate(ex) if j * t <= v < (j + 1) * t)
-    vy = next(i for i, v in enumerate(ey) if j * t <= v < (j + 1) * t)
-    ex[vx], ey[vy] = ey[vy], ex[vx]
-    matching[x] = make_edge(ex)
-    matching[y] = make_edge(ey)

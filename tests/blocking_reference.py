@@ -9,7 +9,15 @@ The solver is passed in as ``exact``, so a test can record the
 random family scores above t, so the climb keeps every mutation and the
 package, which hands the same families to the solver as one stream,
 must return the same family (or None) after the same solver calls.
-Test-only, like ``bnb_reference``: nothing in the package imports it.
+
+It carries its own walk helpers (``_random_partite_matchings``,
+``_mutate_matching`` and ``_matchings_to_instance``, which keep each
+matching as a list of sorted edges and search an edge for its part-j
+vertex) and imports no walk code from the package, which keeps each
+matching as its part columns.  Only the deterministic candidates, built
+by the package's ``_gadget_family``, ``_truncate_family``,
+``ach_instance`` and ``cycle_instance``, are shared.  Test-only, like
+``bnb_reference``: nothing in the package imports it.
 """
 
 from __future__ import annotations
@@ -19,14 +27,50 @@ import random
 from rainbow_forge.constructions import (
     BlockingFamily,
     _gadget_family,
-    _matchings_to_instance,
-    _mutate_matching,
-    _random_partite_matchings,
     _truncate_family,
     ach_instance,
     cycle_instance,
 )
-from rainbow_forge.core import Instance
+from rainbow_forge.core import Edge, Instance, make_edge
+
+
+# the walk helpers as the package wrote them when a walk matching was a
+# list of sorted edges; they are copies, so that a change to the package's
+# walk shows in the comparison rather than on both sides of it
+
+
+def _random_partite_matchings(rng: random.Random, r: int, n: int, t: int) -> list[list[Edge]]:
+    """n random perfect matchings of the complete r-partite host with
+    parts of size t (part j occupies vertices j*t .. j*t + t - 1)."""
+    out = []
+    for _ in range(n):
+        cols = [list(range(j * t, (j + 1) * t)) for j in range(r)]
+        for col in cols:
+            rng.shuffle(col)
+        out.append([make_edge(col[i] for col in cols) for i in range(t)])
+    return out
+
+
+def _matchings_to_instance(r: int, t: int, state: list[list[Edge]]) -> Instance:
+    return Instance(
+        r=r,
+        matchings=tuple(map(tuple, state)),
+        partition=tuple(j for j in range(r) for _ in range(t)),
+        meta={"generator": "blocking-search", "t": t},
+    )
+
+
+def _mutate_matching(rng: random.Random, matching: list[Edge], r: int, t: int) -> None:
+    """Swap the part-j vertices of two edges of one matching (keeps it a
+    perfect matching of the r-partite host)."""
+    j = rng.randrange(r)
+    x, y = rng.sample(range(t), 2)
+    ex, ey = list(matching[x]), list(matching[y])
+    vx = next(i for i, v in enumerate(ex) if j * t <= v < (j + 1) * t)
+    vy = next(i for i, v in enumerate(ey) if j * t <= v < (j + 1) * t)
+    ex[vx], ey[vy] = ey[vy], ex[vx]
+    matching[x] = make_edge(ex)
+    matching[y] = make_edge(ey)
 
 
 def _deterministic_candidates(r: int, n: int, t: int):

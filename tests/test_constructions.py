@@ -291,8 +291,9 @@ def test_find_blocking_family_matches_the_hill_climb_reference(monkeypatch):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_random_walk_candidates_score_at_most_t(r):
-    # a walk's family lives on t*r vertices, which hold at most t
-    # disjoint r-sets
+    # every walk candidate is n perfect matchings of the r-partite host on
+    # t*r vertices (each edge meets every part once, each matching covers
+    # every vertex once), which hold at most t disjoint r-sets
     for t in range(2, 5):
         for n in range(1, 7):
             walks = (
@@ -300,7 +301,10 @@ def test_random_walk_candidates_score_at_most_t(r):
                 if c.meta["generator"] == "blocking-search"
             )
             for cand in itertools.islice(walks, 20):
-                assert cand.vertex_count() == t * r and cand.min_matching_size() == t
+                assert rf.validate_instance(cand) == [], (r, n, t)
+                for m in cand.matchings:
+                    assert sorted(v for e in m for v in e) == list(range(t * r)), (r, n, t)
+                assert cand.min_matching_size() == t
                 assert rf.exact_max_rainbow(cand).size <= t, (r, n, t)
 
 
