@@ -78,9 +78,10 @@ for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
 bits whatever the vertex ids are, and groups the runs of
 ``Instance.runs`` with identical edge sets into the exact solver's
-classes.  One pass over the classes' edges maps their bits to edges
-and runs the union-find; both exact paths read it.  The table checks
-nothing: it is built only from colours that passed the check.
+classes.  One pass over the classes' edges maps each vertex's dense
+id to the edge of each class on it and runs the union-find; both exact
+paths read it.  The table checks nothing: it is built only from
+colours that passed the check.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class _ColourClass:
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
     edges: tuple[Edge, ...]  # lexicographically sorted
     union: int  # the OR of the edges' masks
-    edge_at: dict[int, int]  # vertex bit -> mask of the class edge on it
+    edge_at: dict[int, int]  # dense id -> mask of the class edge on it
     edge_of: dict[int, Edge]  # mask -> edge
 
 
@@ -210,13 +211,16 @@ class _Table:
     """The exact solver's view of one instance (see the module docstring),
     built in one pass over the edges.
 
-    Besides the classes it holds the connected components, as bitmasks
-    over the dense ids ordered by their lowest vertex (``comps``), and
-    the component index of each dense id (``label``); every vertex of
-    the table lies on an edge.  It neither checks nor raises: every
-    class must be a matching of r-sets, which ``exact_max_rainbow``
-    checks before it builds the table, since the bounds of both exact
-    paths count r vertices per edge.
+    A class maps the dense id of each vertex on its edges to that
+    edge's mask (``edge_at``); the keys are the ints of ``index``, so
+    the classes share one int per vertex.  Besides the classes the
+    table holds the connected components, as bitmasks over the dense
+    ids ordered by their lowest vertex (``comps``), and the component
+    index of each dense id (``label``); every vertex of the table lies
+    on an edge.  It neither checks nor raises: every class must be a
+    matching of r-sets, which ``exact_max_rainbow`` checks before it
+    builds the table, since the bounds of both exact paths count r
+    vertices per edge.
     """
 
     def __init__(self, inst: Instance):
@@ -234,30 +238,24 @@ class _Table:
         groups: dict[Matching, list[int]] = {}
         for es, colours in inst.runs:
             groups.setdefault(es, []).extend(colours)
-        bits: dict[int, int] = {}  # one int per vertex bit, the maps' shared keys
         self.classes: list[_ColourClass] = []
         for es, members in groups.items():
             at: dict[int, int] = {}
             of: dict[int, Edge] = {}
             union = 0
             for e in es:
+                xs = [index[v] for v in e]  # the index's own ints, shared as the maps' keys
                 mk = 0
-                a = -1
-                for v in e:
-                    x = index[v]
+                a = find(xs[0])
+                for x in xs:
                     mk |= 1 << x
                     b = find(x)
-                    if a < 0:
-                        a = b
-                    elif b != a:
+                    if b != a:
                         parent[b] = a
                 union |= mk
                 of[mk] = e
-                rem = mk
-                while rem:
-                    low = rem & -rem
-                    at[bits.setdefault(low, low)] = mk
-                    rem ^= low
+                for x in xs:
+                    at[x] = mk
             self.classes.append(_ColourClass(tuple(members), es, union, at, of))
 
         first: dict[int, int] = {}
@@ -329,7 +327,8 @@ def _branch_and_bound(
       class's edges up to the chosen one are cleared, the rest is its
       tail;
     * another class loses the edges on the picked edge's vertices,
-      found through the class's ``edge_at`` map.
+      found through the class's ``edge_at`` map from the dense id of
+      the lowest bit they share, ``(hit & -hit).bit_length() - 1``.
 
     The vertex bound's union is the OR of the class unions.  A node
     stops once the incumbent meets its bound, even with children left:
@@ -377,7 +376,7 @@ def _branch_and_bound(
         # a descendant's find raises best_size, and no matching below
         # this node beats top: stop once the incumbent reaches it
         while tail and top > best_size:
-            mk = at[tail & -tail]
+            mk = at[(tail & -tail).bit_length() - 1]
             tail ^= mk  # the class's live edges after this one
             child: dict[int, int] = {}
             for cj, u in live.items():
@@ -389,7 +388,7 @@ def _branch_and_bound(
                 if hit:
                     other = edge_at[cj]
                     while hit:
-                        u ^= other[hit & -hit]
+                        u ^= other[(hit & -hit).bit_length() - 1]
                         hit = u & mk
                     if not u:
                         continue
@@ -648,10 +647,11 @@ def exact_max_rainbow(
     the size is the true maximum; if the search explores ``node_budget``
     nodes first, the best matching found so far is returned with
     certificate ``heuristic``.  Before any other work, the local search
-    included, every run of colours goes through ``core``'s test for a
-    matching of r-sets, and the first colour that fails raises
-    ValueError, naming its first edge of other than r distinct vertices
-    or else saying that its edges intersect.  No valid instance fails.
+    included, an r below 1 raises ValueError naming r, and every run of
+    colours goes through ``core``'s test for a matching of r-sets: the
+    first colour that fails raises ValueError, naming its first edge of
+    other than r distinct vertices or else saying that its edges
+    intersect.  No valid instance fails.
 
     A given ``incumbent`` must be a rainbow matching of ``inst``, which
     is not checked here.  It replaces the local search and nothing else:
@@ -661,6 +661,8 @@ def exact_max_rainbow(
     """
     t0 = time.perf_counter()
     r = inst.r
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     for es, colours in inst.runs:
         if not _is_r_matching(es, r):
             why = next((f"edge {e} is not a {r}-set" for e in es if not _is_r_matching((e,), r)), None)

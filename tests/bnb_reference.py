@@ -8,15 +8,40 @@ node's bound; with ``stop_at_bound=True`` the reference applies the same
 stop, and the search the package runs must be the same: same pick, edge
 order, pruning, node count, witness and budget cut-off.  The default
 ``stop_at_bound=False`` walks the tree without that stop; unbudgeted,
-it finds the same witness in at least as many nodes.  Test-only, like
+it finds the same witness in at least as many nodes.
+
+The reference searches classes it builds itself (``reference_classes``)
+from the instance's matchings, not the package's ``_Table``, so a change
+to the table reaches only one side of the comparison.  Test-only, like
 ``ilp_oracle``: nothing in the package imports it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from rainbow_forge.core import RainbowMatching
+from rainbow_forge.core import Edge, Instance, RainbowMatching
+
+
+class ReferenceClass(NamedTuple):
+    members: tuple[int, ...]  # colours with this edge set, ascending
+    edges: tuple[Edge, ...]  # sorted
+    masks: tuple[int, ...]  # one bitmask per edge over the relabelled vertices
+
+
+def reference_classes(inst: Instance) -> list[ReferenceClass]:
+    """The colour classes of ``inst``: equal edge sets grouped in order
+    of their lowest colour, the vertices relabelled 0..V-1 in sorted
+    order, and one mask per edge."""
+    vertices = sorted({v for m in inst.matchings for e in m for v in e})
+    label = {v: i for i, v in enumerate(vertices)}
+    groups: dict[tuple[Edge, ...], list[int]] = {}
+    for colour, m in enumerate(inst.matchings):
+        groups.setdefault(tuple(sorted(m)), []).append(colour)
+    return [
+        ReferenceClass(tuple(colours), edges, tuple(sum(1 << label[v] for v in e) for e in edges))
+        for edges, colours in groups.items()
+    ]
 
 
 class _BudgetExhausted(Exception):
@@ -56,7 +81,7 @@ def reference_branch_and_bound(
 
     # compat maps open class index -> (members_left, tuple of (pos, mask))
     compat: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
-        ci: (len(cl.members), tuple(enumerate(cl.edge_of)))
+        ci: (len(cl.members), tuple(enumerate(cl.masks)))
         for ci, cl in enumerate(classes)
         if cl.edges
     }

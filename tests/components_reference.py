@@ -8,18 +8,107 @@ sorted key, and the witness was rebuilt by searching, at each
 component, for the move whose sorted child lay on the stored path.  The
 package now keeps a sorted tuple of capacities per type and has one
 move per distinct use of the types; its states, node count, ``extra``
-entries and budget cut-off must stay the same.  It shares the
-package's ``_profiles`` enumeration and ``_witness`` builder, and reads
-each class's edge masks from the keys of ``edge_of``.  Test-only, like
-``bnb_reference``: nothing in the package imports it.
+entries and budget cut-off must stay the same.  It carries its own
+copies of the package's ``_walk`` stack, ``_profiles`` enumeration and
+``_witness`` builder, so a change to any of them reaches only one side
+of the comparison.  It reads the package's table: each class's members
+and its edge masks, from the keys of ``edge_of``, and the components.
+Test-only, like ``bnb_reference``: nothing in the package imports it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from rainbow_forge.core import RainbowMatching
-from rainbow_forge.solvers import _profiles, _witness
+
+
+def _walk(root: Iterator[Iterator], budget: int | None) -> tuple[int, bool]:
+    """Run a depth-first search from an explicit stack, so its depth is
+    bounded by memory, not by the recursion limit.
+
+    A node is a generator that does its own work and yields its
+    children's generators in order; each child runs to its end before
+    its parent resumes.  Every node entered is counted, the root first;
+    the first one past ``budget`` is counted but not run.  Returns
+    (nodes, budget exhausted flag).
+    """
+    nodes = 1
+    stack = [root]
+    while budget is None or nodes <= budget:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if not stack:
+                return nodes, False
+        else:
+            nodes += 1
+            stack.append(child)
+    return nodes, True
+
+
+def _witness(classes: Sequence, chosen: Iterable[tuple[int, int]]) -> RainbowMatching:
+    """The rainbow matching of (class, edge mask) picks: a class's k-th
+    pick takes its k-th member colour."""
+    given: dict[int, int] = {}
+    pairs = []
+    for ci, mk in chosen:
+        k = given.get(ci, 0)
+        given[ci] = k + 1
+        cl = classes[ci]
+        pairs.append((cl.members[k], cl.edge_of[mk]))
+    return RainbowMatching(tuple(pairs))
+
+
+def _profiles(
+    items: Sequence[tuple[int, int]], caps: Sequence[int], limit: int, nodes: int
+) -> tuple[dict[tuple[tuple[int, int], ...], tuple[int, ...]] | None, int]:
+    """The maximal class profiles of one component, each with its first
+    witness, and the updated node count.
+
+    ``items`` are the component's (class, mask) edges in class order and
+    then edge order.  A selection is an increasing run of pairwise
+    disjoint items with at most ``caps[class]`` per class; its profile
+    is the sparse tuple of (class, edges used), its witness the item
+    indices.  Every selection is one node, a generator run from
+    :func:`_walk`'s explicit stack; past ``limit`` nodes the enumeration
+    stops and the profiles are None.
+    """
+    found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+    # edges used per class, keyed in class order, so a profile is read
+    # off the counts that are not zero
+    used_per_class = dict.fromkeys((ci for ci, _ in items), 0)
+    chosen: list[int] = []
+
+    def rec(start: int, used: int) -> Iterator[Iterator]:
+        profile = tuple((ci, k) for ci, k in used_per_class.items() if k)
+        found.setdefault(profile, tuple(chosen))
+        for t in range(start, len(items)):
+            ci, mk = items[t]
+            k = used_per_class[ci]
+            if mk & used or k == caps[ci]:
+                continue
+            used_per_class[ci] = k + 1
+            chosen.append(t)
+            yield rec(t + 1, used | mk)
+            chosen.pop()
+            used_per_class[ci] = k
+
+    walked, exhausted = _walk(rec(0, 0), limit - nodes)
+    nodes += walked
+    if exhausted:
+        return None, nodes
+
+    # the profiles are downward closed, so a profile is maximal exactly
+    # when no single class can be raised by one
+    def raised(p: tuple[tuple[int, int], ...], ci: int) -> tuple[tuple[int, int], ...]:
+        d = dict(p)
+        d[ci] = d.get(ci, 0) + 1
+        return tuple(sorted(d.items()))
+
+    return {
+        p: w for p, w in found.items() if not any(raised(p, ci) in found for ci in used_per_class)
+    }, nodes
 
 
 def reference_by_components(

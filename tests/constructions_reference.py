@@ -7,16 +7,40 @@ k4 moved every gadget or K4 copy by hand, the blow-up moved every part
 once per colour, and the lift appended hand-placed dummy edges to each
 run.  ``constructions._disjoint_union`` must build the same families, to
 the byte, with the same runs and shared tails, except that a blow-up's
-runs may be coarser.  Test-only, like ``blocking_reference``: nothing in
-the package imports it.
+runs may be coarser.  The pieces they place, the K4 colour classes and
+the gadget's edge pairs, are copies too (``_K4_CLASSES`` and
+``_gadget_classes``), so a change to the package's pieces shows in the
+comparison.  Test-only, like ``blocking_reference``: nothing in the
+package imports it.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from rainbow_forge.constructions import _K4_CLASSES, BlockingFamily, _gadget_classes
+from rainbow_forge.constructions import BlockingFamily
 from rainbow_forge.core import Edge, Instance, map_runs
+
+_K4_CLASSES = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+
+
+def _gadget_classes(r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The 2^(r-1) complementary edge pairs of the gadget on vertices
+    a_0..a_{r-1}, b_0..b_{r-1} (locally numbered a_j = j, b_j = r + j).
+
+    Class k pairs e = {a_j : j in T} + {b_j : j not in T} with its
+    complement, where T always contains 0 and the remaining members of
+    T follow the binary expansion of k.  Any two edges from different
+    classes intersect, so the gadget alone admits no rainbow matching
+    of size 2.
+    """
+    out = []
+    for k in range(2 ** (r - 1)):
+        t = {0} | {j for j in range(1, r) if k >> (j - 1) & 1}
+        e = tuple(sorted([j for j in t] + [r + j for j in range(r) if j not in t]))
+        f = tuple(sorted([r + j for j in t] + [j for j in range(r) if j not in t]))
+        out.append((e, f))
+    return out
 
 
 def k4_union_instance(n: int) -> Instance:

@@ -1,14 +1,20 @@
 """Pinned digests of seeded and constructed families on every Python.
 
 Each digest is the sha256 of what the package writes for one family or
-report, computed when the table was written: a seed, a search or a construction must give the same bytes on
-every Python the package supports, and a change to the generator, the
-blocking search, a union's runs and tails, the sampled path of
-sample-and-extend or the file format fails here.
+report, computed when the table was written: a seed, a search or a
+construction must give the same bytes on every Python the package
+supports, and a change to the generator, the blocking search, a union's
+runs and tails, the sampled path of sample-and-extend or the file format
+fails here.  The README's quick start runs here too, through
+``cli.main``, with its files pinned and every sweep record verified.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import os
 
 import pytest
 
@@ -24,6 +30,7 @@ from rainbow_forge import (
     serialize_instance,
     serialize_report,
 )
+from rainbow_forge.cli import main
 from rainbow_forge.sweep import run_solver
 
 
@@ -129,3 +136,95 @@ def test_sampled_path_is_pinned(name):
     text = json.dumps(_drop_wall_time(doc), indent=2, sort_keys=True)
     extra = doc["stats"]["extra"]
     assert (doc["certificate"], doc["size"], extra["checks_met"], extra["attempts"], _sha256(text)) == expected
+
+
+# the README's quick start, run in a directory of its own
+QUICK_START = (
+    "gen --construction ach --r 3 --n 4 --out ach34.rbf",
+    "solve --in ach34.rbf --solver exact --out ach34.json",
+    "verify --in ach34.rbf --report ach34.json",
+    "bounds --r 3 --n 1000",
+    "sweep --construction cycle,ach,random --r 2..3 --n 4..8 --solver exact,local --seed 13 --out results/",
+)
+
+# sha256 of the quick-start files with every wall_time dropped, as
+# written at db6a6ec (summary.csv and the bounds table at c0b12ab): a
+# change to the file format, the report, the sweep records or summary or
+# the bounds columns fails here; bounds.txt is the table the quick start
+# prints, bounds.csv the same with --format csv
+QUICK_START_FILES = {
+    "ach34.rbf": "a8612c1dc3673718927d50b7418c6840bdfa02b8ad38b7f9373cb0e78513fc26",
+    "ach34.json": "24a0b3497b5b42eb2d83253bce8cf6c5ec5f01c81ced9d9b259ccee9f97a29b6",
+    "records.jsonl": "25841ef369d85f839af1d12a752a200bad98c6d4fdc45a4bba8856161ef2233e",
+    "summary.csv": "e7b710aa3bdf70dadc28f26f3a05b6f1e54203b0539a6711d23db3dc35a80460",
+    "bounds.txt": "6b04a2c0abe29161844e9c133694280c4cfdb3d2feb6ed1930c7c95ef90f1e43",
+    "bounds.csv": "0ea20a3ada49440cb310afa85f60c9d4cd6bcd939c5303558a1b61dd523df73e",
+}
+
+
+def _run(*argv) -> str:
+    """``rainbow-forge argv`` in process; its stdout, after a zero exit."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([str(a) for a in argv]) == 0, argv
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def quick_start(tmp_path_factory):
+    """The quick start's folder, its files keyed as in QUICK_START_FILES
+    with every wall_time dropped, and its sweep records."""
+    folder = tmp_path_factory.mktemp("quickstart")
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        printed = [_run(*argv.split()) for argv in QUICK_START]
+        bounds_csv = _run(*"bounds --r 3 --n 1000 --format csv".split())
+    finally:
+        os.chdir(cwd)
+    (sweep,) = (folder / "results" / "sweeps").iterdir()
+    with open(sweep / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("wall_time")
+    summary = io.StringIO()
+    csv.writer(summary).writerows(row[:col] + row[col + 1 :] for row in rows)
+    records = [json.loads(line) for line in (sweep / "records.jsonl").read_text().splitlines()]
+    texts = {
+        "ach34.rbf": (folder / "ach34.rbf").read_text(),
+        "ach34.json": json.dumps(
+            _drop_wall_time(json.loads((folder / "ach34.json").read_text())), indent=2, sort_keys=True
+        ),
+        "records.jsonl": "".join(json.dumps(_drop_wall_time(rec), sort_keys=True) + "\n" for rec in records),
+        "summary.csv": summary.getvalue(),
+        "bounds.txt": printed[3],
+        "bounds.csv": bounds_csv,
+    }
+    return folder, texts, records
+
+
+@pytest.mark.parametrize("name", QUICK_START_FILES)
+def test_quick_start_output_is_pinned(quick_start, name):
+    _, texts, _ = quick_start
+    assert _sha256(texts[name]) == QUICK_START_FILES[name]
+
+
+def test_every_quick_start_record_verifies(quick_start):
+    # every record can be checked again from its files: the sweep's
+    # local certificates too, not only the exact report
+    folder, _, records = quick_start
+    assert len(records) == 36
+    results = folder / "results"
+    for record in records:
+        _run("verify", "--in", results / record["instance_file"], "--report", results / record["report_file"])
+
+
+def test_component_dp_certifies_ach_7_128_through_the_cli(tmp_path):
+    # 64 gadget components: solve runs the component DP (8,736 states
+    # past 130 enumeration nodes), and verify proves the recorded optimum
+    # again from its witness; a change in the state count shows in
+    # stats.nodes
+    rbf, report = tmp_path / "ach7.rbf", tmp_path / "ach7.json"
+    _run("gen", "--construction", "ach", "--r", 7, "--n", 128, "--out", rbf)
+    _run("solve", "--in", rbf, "--solver", "exact", "--out", report)
+    doc = json.loads(report.read_text())
+    assert (doc["certificate"], doc["size"], doc["stats"]["nodes"]) == ("exact-optimum", 96, 8866)
+    _run("verify", "--in", rbf, "--report", report)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import rainbow_forge as rf
 from rainbow_forge import solvers
 
-from bnb_reference import reference_branch_and_bound
+from bnb_reference import reference_branch_and_bound, reference_classes
 import local_reference
 from oracle import brute_force_max_rainbow
 
@@ -175,6 +175,19 @@ def test_exact_rejects_an_edge_with_a_repeated_vertex():
             rf.exact_max_rainbow(inst)
 
 
+def test_exact_rejects_r_below_one_before_the_incumbent(monkeypatch):
+    # an edge with no vertices passes the test for a matching of 0-sets,
+    # so r itself is checked first; a given incumbent skips no check
+    def no_incumbent(inst, seed=None):
+        raise AssertionError("the local search ran before the check")
+
+    monkeypatch.setattr(solvers, "local_search_rainbow", no_incumbent)
+    for inst in (rf.Instance(0, (((),),)), rf.Instance(0, ()), rf.Instance(-1, ())):
+        for incumbent in (None, rf.RainbowMatching()):
+            with pytest.raises(ValueError, match=f"r must be >= 1, got {inst.r}"):
+                rf.exact_max_rainbow(inst, incumbent=incumbent)
+
+
 def test_exact_checks_every_colour_before_the_incumbent(monkeypatch):
     def no_incumbent(inst, seed=None):
         raise AssertionError("the local search ran before the check")
@@ -225,18 +238,20 @@ def families(draw) -> rf.Instance:
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_branch_and_bound_walks_the_reference_search_tree(inst):
+    # the package searches its table's classes, the reference its own
     classes = solvers._Table(inst).classes
+    ref_classes = reference_classes(inst)
     for incumbent in (rf.local_search_rainbow(inst).matching, rf.RainbowMatching()):
         for budget in (None, 0, 1, 7, 50):
             # same witness, node count and budget cut-off; at budget 0
             # the root itself is past it, counted but not run
             got = solvers._branch_and_bound(classes, inst.r, budget, incumbent)
             assert got == reference_branch_and_bound(
-                classes, inst.r, budget, incumbent, stop_at_bound=True
+                ref_classes, inst.r, budget, incumbent, stop_at_bound=True
             )
             # the tree without the stop: an unbudgeted search finds the
             # same witness in no more nodes, a budgeted one none smaller
-            full = reference_branch_and_bound(classes, inst.r, budget, incumbent)
+            full = reference_branch_and_bound(ref_classes, inst.r, budget, incumbent)
             if budget is None:
                 assert got[0] == full[0] and got[1] <= full[1]
             assert got[0].size >= full[0].size
@@ -250,9 +265,24 @@ def test_search_stops_a_node_once_the_incumbent_meets_its_bound():
     rep = rf.exact_max_rainbow(inst)
     assert (rep.size, rep.stats.extra["incumbent_size"]) == (40, 38)
     assert (rep.certificate, rep.stats.nodes) == (rf.CERT_EXACT, 151)
-    classes = solvers._Table(inst).classes
-    witness, nodes, _ = reference_branch_and_bound(classes, inst.r, None, incumbent)
+    witness, nodes, _ = reference_branch_and_bound(reference_classes(inst), inst.r, None, incumbent)
     assert (rep.matching, nodes) == (witness, 686)
+
+
+def test_table_vertex_maps_share_the_index_ints():
+    # V = 896, past the small-int cache, so two equal ids are one object
+    # only when the table shares it: every class maps the dense id of
+    # each vertex on its edges, r per edge, to that edge's mask, keyed
+    # by the index's own int
+    inst = rf.ach_instance(7, 128)
+    table = solvers._Table(inst)
+    ids = list(table.index.values())
+    assert ids == list(range(896))
+    for cl in table.classes:
+        assert len(cl.edge_at) == inst.r * len(cl.edges)
+        assert all(x is ids[x] for x in cl.edge_at)
+        for mk, e in cl.edge_of.items():
+            assert all(cl.edge_at[table.index[v]] == mk for v in e)
 
 
 # ---------------------------------------------------------------------------
