@@ -16,8 +16,9 @@ colours with ``core``'s matching test and raises ValueError naming the
 first colour that is not, whichever path it then takes.
 
 A disjoint union of small pieces, which every family of the paper is,
-is solved one component at a time instead.  A union-find over the
-edges gives the components.  For each distinct component shape (the
+is solved one component at a time instead.  Once the incumbent is
+below the root bound, a union-find over the class edges gives the
+components.  For each distinct component shape (the
 same classes and edges up to a shift of the dense ids) a depth-first
 search enumerates the selections: in class order, an increasing run of
 pairwise disjoint edges per class, at most as many as the class has
@@ -62,9 +63,10 @@ matching it applies two moves until neither exists:
 A matching admitting neither move satisfies the inequality with N the
 minimum matching size, which is what the verifier re-checks.  Both
 moves come from one scan of the unused colours' edges (``_classify``):
-the local search makes one scan per move, ``good_edges`` builds its
-table and its first ``swap`` from one, and ``find_swap`` raises
-ExtensionAvailable on a matching that admits an extension.
+the local search makes one ``find_swap`` call per move, plus the last
+one that finds none, and takes the extension that ``find_swap`` raises
+as ExtensionAvailable on a matching that admits one; ``good_edges``
+builds its table and its first ``swap`` from one scan.
 
 Tie-breaking everywhere is lowest colour index first, then lexicographic
 edge order; randomised entry points take an explicit seed.
@@ -78,10 +80,13 @@ for the instance it solves.  The table relabels the vertices densely
 in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
 bits whatever the vertex ids are, and groups the runs of
 ``Instance.runs`` with identical edge sets into the exact solver's
-classes.  One pass over the classes' edges maps each vertex's dense
-id to the edge of each class on it and runs the union-find; both exact
-paths read it.  The table checks nothing: it is built only from
-colours that passed the check.
+classes.  The table is the dense ids and the classes and nothing
+else: one pass over the classes' edges builds each edge's mask and
+maps each vertex's dense id to the edge of each class on it.  Both
+exact paths read it, and each builds the rest of its own view: the
+component path its components, the branch-and-bound its root state.
+The table checks nothing: it is built only from colours that passed
+the check.
 """
 
 from __future__ import annotations
@@ -200,39 +205,34 @@ class GoodEdgeTable:
 
 @dataclass(frozen=True)
 class _ColourClass:
+    """The colours with one edge set (``members``), the set's ``edges``,
+    and their masks over the dense ids, by vertex (``edge_at``) and by
+    mask (``edge_of``)."""
+
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
     edges: tuple[Edge, ...]  # lexicographically sorted
-    union: int  # the OR of the edges' masks
     edge_at: dict[int, int]  # dense id -> mask of the class edge on it
-    edge_of: dict[int, Edge]  # mask -> edge
+    edge_of: dict[int, Edge]  # mask -> edge, in edge order
 
 
 class _Table:
-    """The exact solver's view of one instance (see the module docstring),
-    built in one pass over the edges.
+    """The exact solver's view of one instance (see the module docstring):
+    the dense ids (``index``) and the colour classes, built in one pass
+    over the edges.
 
     A class maps the dense id of each vertex on its edges to that
-    edge's mask (``edge_at``); the keys are the ints of ``index``, so
-    the classes share one int per vertex.  Besides the classes the
-    table holds the connected components, as bitmasks over the dense
-    ids ordered by their lowest vertex (``comps``), and the component
-    index of each dense id (``label``); every vertex of the table lies
-    on an edge.  It neither checks nor raises: every class must be a
-    matching of r-sets, which ``exact_max_rainbow`` checks before it
-    builds the table, since the bounds of both exact paths count r
-    vertices per edge.
+    edge's mask (``edge_at``), an edge's ids in a row and in ascending
+    order, each holding the same mask object; the keys are the ints of
+    ``index``, so the classes share one int per vertex.  The table
+    neither checks nor raises: every class must be a matching of
+    r-sets, which ``exact_max_rainbow`` checks before it builds the
+    table, since the bounds of both exact paths count r vertices per
+    edge.
     """
 
     def __init__(self, inst: Instance):
         # dense vertex ids, sorted(vertices) -> 0..V-1
         index = self.index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
-        parent = list(range(len(index)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
         # colours with identical edge sets, grouped, each edge with its
         # bitmask over the dense ids; in order of their lowest member
         groups: dict[Matching, list[int]] = {}
@@ -242,27 +242,15 @@ class _Table:
         for es, members in groups.items():
             at: dict[int, int] = {}
             of: dict[int, Edge] = {}
-            union = 0
             for e in es:
                 xs = [index[v] for v in e]  # the index's own ints, shared as the maps' keys
                 mk = 0
-                a = find(xs[0])
                 for x in xs:
                     mk |= 1 << x
-                    b = find(x)
-                    if b != a:
-                        parent[b] = a
-                union |= mk
                 of[mk] = e
                 for x in xs:
                     at[x] = mk
-            self.classes.append(_ColourClass(tuple(members), es, union, at, of))
-
-        first: dict[int, int] = {}
-        label = self.label = [first.setdefault(find(x), len(first)) for x in range(len(index))]
-        comps = self.comps = [0] * len(first)
-        for x, c in enumerate(label):
-            comps[c] |= 1 << x
+            self.classes.append(_ColourClass(tuple(members), es, at, of))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +299,16 @@ def _branch_and_bound(
     r: int,
     budget: int | None,
     incumbent: RainbowMatching,
-) -> tuple[RainbowMatching, int, bool]:
+) -> tuple[RainbowMatching, int, bool, dict]:
     """Search all canonical class assignments.
 
     The state maps each open class to the union of its live edges'
-    masks; how many colours each class has left to give is one list,
-    changed on the way down and restored on backtrack.  A class's edges
-    are pairwise disjoint r-sets in lexicographic order, which for
-    sorted edges is the order of their lowest dense id, so the union
-    alone holds the class's live edges:
+    masks, at the root the OR of the class's ``edge_of`` keys; how many
+    colours each class has left to give is one list, changed on the way
+    down and restored on backtrack.  A class's edges are pairwise
+    disjoint r-sets in lexicographic order, which for sorted edges is
+    the order of their lowest dense id, so the union alone holds the
+    class's live edges:
 
     * there are ``union.bit_count() // r`` of them;
     * the first holds the union's lowest bit;
@@ -338,7 +327,8 @@ def _branch_and_bound(
     first node past ``budget``.
 
     Returns (the best matching found, which is ``incumbent`` unless the
-    search beat it, nodes explored, budget exhausted flag).
+    search beat it, nodes explored, budget exhausted flag, no
+    ``stats.extra`` entries), the shape :func:`_by_components` returns.
     """
     best_size = incumbent.size
     best_witness = incumbent
@@ -402,9 +392,10 @@ def _branch_and_bound(
         if top > best_size:
             yield dfs({cj: u for cj, u in live.items() if cj != pick})
 
-    root = dfs({ci: cl.union for ci, cl in enumerate(classes) if cl.union})
+    # a class's masks are disjoint, so their sum is their OR
+    root = dfs({ci: sum(cl.edge_of) for ci, cl in enumerate(classes) if cl.edges})
     nodes, exhausted = _walk(root, budget)
-    return best_witness, nodes, exhausted
+    return best_witness, nodes, exhausted, {}
 
 
 def _profiles(
@@ -460,26 +451,53 @@ def _profiles(
 
 def _by_components(
     table: _Table, r: int, budget: int | None, incumbent: RainbowMatching
-) -> tuple[RainbowMatching, int, dict] | None:
+) -> tuple[RainbowMatching, int, bool, dict] | None:
     """Solve a disjoint union one component at a time (see the module
     docstring).
 
-    After the gates and the profile enumeration, the DP keeps each
-    state's first parent, move and the capacity each use met; the
+    Past the first gate, the incumbent below the search's root bound,
+    it finds the connected components: a union-find joins the dense ids
+    of each class edge, read from ``edge_at``.  The components are
+    bitmasks over the dense ids, numbered in order of their lowest id
+    (``comps``), and ``label`` gives each dense id its component.
+    After the other gates and the profile enumeration, the DP keeps
+    each state's first parent, move and the capacity each use met; the
     witness replays those steps on the actual classes and reads each
     component's edges from the witness of the profile they give.
 
     Returns None when the instance is left to :func:`_branch_and_bound`;
-    otherwise the best matching (``incumbent`` unless the combination
-    beat it), the nodes, which are enumeration nodes plus DP states, and
-    the ``stats.extra`` entries of this path.
+    otherwise the search's result shape: the best matching
+    (``incumbent`` unless the combination beat it), the nodes, which are
+    enumeration nodes plus DP states, False (no budget ran out), and the
+    ``stats.extra`` entries of this path.
     """
     classes = table.classes
     caps = [len(cl.members) for cl in classes]
     nv = len(table.index)  # every vertex lies on an edge
     if incumbent.size >= min(sum(min(k, len(cl.edges)) for k, cl in zip(caps, classes)), nv // r):
         return None  # meets the search's root bound: it stops at once
-    comps, label = table.comps, table.label
+    parent = list(range(nv))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    # an edge's ids are consecutive keys of edge_at, lowest first, and
+    # hold one mask object (an equal mask is the same edge): join each
+    # id to its edge's lowest
+    edge = None
+    for cl in classes:
+        for x, mk in cl.edge_at.items():
+            if mk is not edge:
+                edge, a = mk, find(x)
+            elif (b := find(x)) != a:
+                parent[b] = a
+    first: dict[int, int] = {}
+    label = [first.setdefault(find(x), len(first)) for x in range(nv)]
+    comps = [0] * len(first)
+    for x, c in enumerate(label):
+        comps[c] |= 1 << x
     if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
         return None  # a dominant component makes its profiles explode
     # The attempt may take one node per (component, class edge) pair.
@@ -598,7 +616,7 @@ def _by_components(
         layers.append(nxt)
     extra = {"components": len(comps), "dp_states": dp_states}
     if not layers[-1]:
-        return incumbent, nodes, extra
+        return incumbent, nodes, False, extra
 
     # follow the best state back, then give each use a class of its
     # type with the capacity it met; a swap within a type maps profiles
@@ -621,7 +639,7 @@ def _by_components(
             if rem[ci]:
                 rem[ci] -= 1
                 chosen.append((ci, mk))
-    return _witness(classes, chosen), nodes, extra
+    return _witness(classes, chosen), nodes, False, extra
 
 
 def exact_max_rainbow(
@@ -670,21 +688,11 @@ def exact_max_rainbow(
     if incumbent is None:
         incumbent = local_search_rainbow(inst).matching
     table = _Table(inst)
-    extra: dict[str, Any] = {"incumbent_size": incumbent.size}
-    solved = _by_components(table, r, node_budget, incumbent)
-    if solved is None:
-        witness, nodes, exhausted = _branch_and_bound(table.classes, r, node_budget, incumbent)
-    else:
-        witness, nodes, parts = solved
-        exhausted = False
-        extra.update(parts)
-    stats = SolveStats(
-        nodes=nodes,
-        swaps=0,
-        wall_time=time.perf_counter() - t0,
-        seed=None,
-        extra=extra,
-    )
+    witness, nodes, exhausted, extra = _by_components(
+        table, r, node_budget, incumbent
+    ) or _branch_and_bound(table.classes, r, node_budget, incumbent)
+    extra = {"incumbent_size": incumbent.size, **extra}
+    stats = SolveStats(nodes, wall_time=time.perf_counter() - t0, extra=extra)
     return SolveReport(witness, CERT_HEURISTIC if exhausted else CERT_EXACT, stats)
 
 
@@ -803,14 +811,12 @@ def local_search_rainbow(inst: Instance, seed: int | None = None) -> SolveReport
     swaps = 0
     moves = 0
     while True:
-        rm = RainbowMatching(tuple(current.items()))
         try:
-            by_edge = _classify(inst, rm)
+            swp = find_swap(inst, RainbowMatching(tuple(current.items())))
         except ExtensionAvailable as ext:
             current[ext.colour] = ext.edge
             moves += 1
             continue
-        swp = _first_swap(rm, by_edge)
         if swp is None:
             break
         removed, first, second = swp
@@ -914,12 +920,15 @@ def sample_and_extend(
     instance walk the heads and shared tails of ``inst.runs`` through
     ``core.map_parts``, so a dummy lift's shared edges are tested once
     per attempt, and the colours of a run share one restricted matching.
+    An r below 1 raises ValueError naming r before any other work.
     """
     n = inst.n
+    r = inst.r
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     t0 = time.perf_counter()
     if n == 0:
         return SolveReport(RainbowMatching(), CERT_HEURISTIC, SolveStats(seed=seed))
-    r = inst.r
     rng = random.Random(seed)
     vertices = sorted(inst.vertices())
     p = 4.0 * n ** (-1.0 / (2 * r))

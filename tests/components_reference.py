@@ -11,8 +11,10 @@ move per distinct use of the types; its states, node count, ``extra``
 entries and budget cut-off must stay the same.  It carries its own
 copies of the package's ``_walk`` stack, ``_profiles`` enumeration and
 ``_witness`` builder, so a change to any of them reaches only one side
-of the comparison.  It reads the package's table: each class's members
-and its edge masks, from the keys of ``edge_of``, and the components.
+of the comparison.  It reads the package's table: each class's members,
+its edge masks, from the keys of ``edge_of``, and the number of dense
+ids.  It finds the components with a union-find of its own, which
+joins the ids of each edge, read off its mask's bits.
 Test-only, like ``bnb_reference``: nothing in the package imports it.
 """
 
@@ -127,7 +129,30 @@ def reference_by_components(
     nv = len(table.index)  # every vertex lies on an edge
     if incumbent.size >= min(sum(min(k, len(ms)) for k, ms in zip(caps, masks)), nv // r):
         return None  # meets the search's root bound: it stops at once
-    comps, label = table.comps, table.label
+    # the components: a union-find joins every id of an edge to its
+    # lowest; components are numbered in order of their lowest id
+    parent = list(range(nv))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for ms in masks:
+        for mk in ms:
+            low = (mk & -mk).bit_length() - 1
+            rest = mk
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                root, lowest = find(bit.bit_length() - 1), find(low)
+                if root != lowest:
+                    parent[root] = lowest
+    number: dict[int, int] = {}
+    label = [number.setdefault(find(x), len(number)) for x in range(nv)]
+    comps = [0] * len(number)
+    for x, c in enumerate(label):
+        comps[c] |= 1 << x
     if len(comps) < 2 or 2 * max(mk.bit_count() for mk in comps) > nv:
         return None  # a dominant component makes its profiles explode
     # The attempt may take one node per (component, class edge) pair.

@@ -103,10 +103,11 @@ def test_components_rebuild_a_witness_on_paper_constructions(build, optimum, nod
     # rebuilt from the types' capacities, which the local-search
     # incumbents, already optimal, never need
     inst = build()
-    matching, got_nodes, extra = solvers._by_components(
+    matching, got_nodes, exhausted, extra = solvers._by_components(
         solvers._Table(inst), inst.r, None, rf.RainbowMatching()
     )
     assert (matching.size, got_nodes, extra["dp_states"]) == (optimum, nodes, dp_states)
+    assert exhausted is False
     assert rf.is_rainbow_matching(inst, matching)
 
 
@@ -216,8 +217,8 @@ def test_exact_by_components_matches_the_oracles(inst):
     for incumbent in (rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1])):
         forced = solvers._by_components(table, inst.r, None, incumbent)
         if forced is not None:
-            matching, _, extra = forced
-            assert extra["components"] >= 2
+            matching, _, exhausted, extra = forced
+            assert exhausted is False and extra["components"] >= 2
             assert matching.size == want and rf.is_rainbow_matching(inst, matching)
 
 
@@ -236,5 +237,7 @@ def test_components_match_the_reference_dp(inst):
             want = reference_by_components(table, inst.r, budget, incumbent)
             assert (got is None) == (want is None)
             if got is not None:
-                assert (got[0].size, got[1], got[2]) == (want[0].size, want[1], want[2])
-                assert rf.is_rainbow_matching(inst, got[0])
+                matching, nodes, exhausted, extra = got
+                assert (matching.size, nodes, extra) == (want[0].size, want[1], want[2])
+                assert exhausted is False
+                assert rf.is_rainbow_matching(inst, matching)

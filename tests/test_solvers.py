@@ -246,9 +246,10 @@ def test_branch_and_bound_walks_the_reference_search_tree(inst):
             # same witness, node count and budget cut-off; at budget 0
             # the root itself is past it, counted but not run
             got = solvers._branch_and_bound(classes, inst.r, budget, incumbent)
-            assert got == reference_branch_and_bound(
+            assert got[:3] == reference_branch_and_bound(
                 ref_classes, inst.r, budget, incumbent, stop_at_bound=True
             )
+            assert got[3] == {}
             # the tree without the stop: an unbudgeted search finds the
             # same witness in no more nodes, a budgeted one none smaller
             full = reference_branch_and_bound(ref_classes, inst.r, budget, incumbent)
@@ -373,6 +374,23 @@ def test_local_search_reference_run():
     # the benchmark's n=200 reference instance and solver seed
     rep = rf.local_search_rainbow(rf.random_instance(3, 200, 200, seed=1), seed=1)
     assert (rep.size, rep.stats.nodes, rep.stats.swaps) == (189, 9, 9)
+
+
+def test_local_search_calls_find_swap_once_per_move_and_once_more(monkeypatch):
+    # every move comes from one call of solvers.find_swap, looked up by
+    # its module name, and the last call finds none; a wrapper put there,
+    # as the benchmark's tracer puts one, sees every scan
+    calls = []
+    find_swap = solvers.find_swap
+
+    def counting_find_swap(inst, rm):
+        calls.append(rm)
+        return find_swap(inst, rm)
+
+    monkeypatch.setattr(solvers, "find_swap", counting_find_swap)
+    rep = rf.local_search_rainbow(rf.random_instance(3, 200, 200, 1), seed=1)
+    assert (rep.stats.nodes, len(calls)) == (9, 10)
+    assert calls[-1] == rep.matching
 
 
 def test_moves_ignore_vertices_outside_the_instance():
@@ -638,6 +656,16 @@ def test_sample_and_extend_on_no_colours_is_an_empty_heuristic_report():
     assert isinstance(res, rf.SolveReport)
     assert res.certificate == rf.CERT_HEURISTIC and res.size == 0
     assert res.stats.seed == 4 and res.stats.extra == {}
+
+
+def test_sample_and_extend_rejects_r_below_one():
+    # at r = 0 the sampling probability would divide by zero, and at
+    # r = -1 the edge () would be matched; r is checked before any other
+    # work, the return on no colours included
+    for r in (0, -1):
+        for matchings in ((((),),), ()):
+            with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
+                rf.sample_and_extend(rf.Instance(r, matchings), seed=1)
 
 
 def test_sample_and_extend_takes_its_seed_by_keyword():
