@@ -11,7 +11,7 @@ class is one integer, the union of its live edges' bitmasks: a class
 is a matching, so the union alone tells how many edges are live, which
 comes first, and which of them an edge picked in another class
 removes.  Every colour must therefore be a matching of r-sets: before
-the incumbent and the table, the exact solver checks each run of
+the incumbent and the classes, the exact solver checks each run of
 colours with ``core``'s matching test and raises ValueError naming the
 first colour that is not, whichever path it then takes.
 
@@ -75,18 +75,18 @@ The greedy, local, good-edge and sampling code read the instance's
 matchings, whose edges the constructor keeps in lexicographic order,
 and test "disjoint from the matching" against the used vertices, so
 their memory grows with the edges, not with edges times vertices.
-Only the exact solver works on bitmasks, through a table it builds
-for the instance it solves.  The table relabels the vertices densely
-in sorted order (``sorted(vertices)`` -> 0..V-1), so a bitmask costs V
-bits whatever the vertex ids are, and groups the runs of
-``Instance.runs`` with identical edge sets into the exact solver's
-classes.  The table is the dense ids and the classes and nothing
-else: one pass over the classes' edges builds each edge's mask and
-maps each vertex's dense id to the edge of each class on it.  Both
-exact paths read it, and each builds the rest of its own view: the
-component path its components, the branch-and-bound its root state.
-The table checks nothing: it is built only from colours that passed
-the check.
+Only the exact solver works on bitmasks, over the colour classes it
+builds for the instance it solves (``_colour_classes``).  It relabels
+the vertices densely in sorted order (``sorted(vertices)`` -> 0..V-1),
+so a bitmask costs V bits whatever the vertex ids are, and groups the
+runs of ``Instance.runs`` with identical edge sets into classes.  One
+pass over the classes' edges builds each edge's mask and maps each
+vertex's dense id to the edge of each class on it; the classes and V
+are all it returns, the index itself is dropped once its ints are the
+maps' keys.  Both exact paths read the classes, and each builds the
+rest of its own view: the component path its components from the
+classes and V, the branch-and-bound its root state.  Nothing there
+checks: the classes are built only from colours that passed the check.
 """
 
 from __future__ import annotations
@@ -205,52 +205,49 @@ class GoodEdgeTable:
 
 @dataclass(frozen=True)
 class _ColourClass:
-    """The colours with one edge set (``members``), the set's ``edges``,
-    and their masks over the dense ids, by vertex (``edge_at``) and by
-    mask (``edge_of``)."""
+    """The colours with one edge set (``members``) and the set's edges
+    with their masks over the dense ids, by vertex (``edge_at``) and by
+    mask (``edge_of``, in edge order)."""
 
     members: tuple[int, ...]  # colour indices sharing this edge set, ascending
-    edges: tuple[Edge, ...]  # lexicographically sorted
     edge_at: dict[int, int]  # dense id -> mask of the class edge on it
-    edge_of: dict[int, Edge]  # mask -> edge, in edge order
+    edge_of: dict[int, Edge]  # mask -> edge, in lexicographic edge order
 
 
-class _Table:
-    """The exact solver's view of one instance (see the module docstring):
-    the dense ids (``index``) and the colour classes, built in one pass
-    over the edges.
+def _colour_classes(inst: Instance) -> tuple[list[_ColourClass], int]:
+    """The exact solver's view of one instance (see the module
+    docstring): its colour classes and V, the number of dense ids,
+    built in one pass over the edges.
 
     A class maps the dense id of each vertex on its edges to that
     edge's mask (``edge_at``), an edge's ids in a row and in ascending
     order, each holding the same mask object; the keys are the ints of
-    ``index``, so the classes share one int per vertex.  The table
-    neither checks nor raises: every class must be a matching of
-    r-sets, which ``exact_max_rainbow`` checks before it builds the
-    table, since the bounds of both exact paths count r vertices per
-    edge.
+    one dense index, so the classes share one int per vertex.  Nothing
+    is checked or raised: every class must be a matching of r-sets,
+    which ``exact_max_rainbow`` checks first, since the bounds of both
+    exact paths count r vertices per edge.
     """
-
-    def __init__(self, inst: Instance):
-        # dense vertex ids, sorted(vertices) -> 0..V-1
-        index = self.index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
-        # colours with identical edge sets, grouped, each edge with its
-        # bitmask over the dense ids; in order of their lowest member
-        groups: dict[Matching, list[int]] = {}
-        for es, colours in inst.runs:
-            groups.setdefault(es, []).extend(colours)
-        self.classes: list[_ColourClass] = []
-        for es, members in groups.items():
-            at: dict[int, int] = {}
-            of: dict[int, Edge] = {}
-            for e in es:
-                xs = [index[v] for v in e]  # the index's own ints, shared as the maps' keys
-                mk = 0
-                for x in xs:
-                    mk |= 1 << x
-                of[mk] = e
-                for x in xs:
-                    at[x] = mk
-            self.classes.append(_ColourClass(tuple(members), es, at, of))
+    # dense vertex ids, sorted(vertices) -> 0..V-1
+    index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
+    # colours with identical edge sets, grouped, each edge with its
+    # bitmask over the dense ids; in order of their lowest member
+    groups: dict[Matching, list[int]] = {}
+    for es, colours in inst.runs:
+        groups.setdefault(es, []).extend(colours)
+    classes = []
+    for es, members in groups.items():
+        at: dict[int, int] = {}
+        of: dict[int, Edge] = {}
+        for e in es:
+            xs = [index[v] for v in e]  # the index's own ints, shared as the maps' keys
+            mk = 0
+            for x in xs:
+                mk |= 1 << x
+            of[mk] = e
+            for x in xs:
+                at[x] = mk
+        classes.append(_ColourClass(tuple(members), at, of))
+    return classes, len(index)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +319,10 @@ def _branch_and_bound(
     The vertex bound's union is the OR of the class unions.  A node
     stops once the incumbent meets its bound, even with children left:
     a descendant's find can raise the incumbent, and no matching below
-    the node exceeds the bound.  Each node is a generator run from
-    :func:`_walk`'s explicit stack, which counts it and stops at the
-    first node past ``budget``.
+    the node exceeds the bound.  A leaf, a node with no open class, is
+    bounded by its own size, which the incumbent already meets.  Each
+    node is a generator run from :func:`_walk`'s explicit stack, which
+    counts it and stops at the first node past ``budget``.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag, no
@@ -342,8 +340,6 @@ def _branch_and_bound(
         if cur > best_size:
             best_size = cur
             best_witness = _witness(classes, chosen)
-        if not live:
-            return
         total_ub = 0
         pick = -1
         pick_len = -1
@@ -393,7 +389,7 @@ def _branch_and_bound(
             yield dfs({cj: u for cj, u in live.items() if cj != pick})
 
     # a class's masks are disjoint, so their sum is their OR
-    root = dfs({ci: sum(cl.edge_of) for ci, cl in enumerate(classes) if cl.edges})
+    root = dfs({ci: sum(cl.edge_of) for ci, cl in enumerate(classes) if cl.edge_of})
     nodes, exhausted = _walk(root, budget)
     return best_witness, nodes, exhausted, {}
 
@@ -450,10 +446,11 @@ def _profiles(
 
 
 def _by_components(
-    table: _Table, r: int, budget: int | None, incumbent: RainbowMatching
+    classes: Sequence[_ColourClass], nv: int, r: int, budget: int | None, incumbent: RainbowMatching
 ) -> tuple[RainbowMatching, int, bool, dict] | None:
     """Solve a disjoint union one component at a time (see the module
-    docstring).
+    docstring), given the classes and ``nv``, the number of dense ids,
+    from :func:`_colour_classes`; every dense id lies on an edge.
 
     Past the first gate, the incumbent below the search's root bound,
     it finds the connected components: a union-find joins the dense ids
@@ -469,12 +466,11 @@ def _by_components(
     otherwise the search's result shape: the best matching
     (``incumbent`` unless the combination beat it), the nodes, which are
     enumeration nodes plus DP states, False (no budget ran out), and the
-    ``stats.extra`` entries of this path.
+    ``stats.extra`` entries of this path, whose ``dp_states`` is read
+    off the DP's layers.
     """
-    classes = table.classes
     caps = [len(cl.members) for cl in classes]
-    nv = len(table.index)  # every vertex lies on an edge
-    if incumbent.size >= min(sum(min(k, len(cl.edges)) for k, cl in zip(caps, classes)), nv // r):
+    if incumbent.size >= min(sum(min(k, len(cl.edge_of)) for k, cl in zip(caps, classes)), nv // r):
         return None  # meets the search's root bound: it stops at once
     parent = list(range(nv))
 
@@ -506,7 +502,7 @@ def _by_components(
     # that; rich pieces (random parts, many classes that no symmetry
     # merges) exceed it long before the search would.  Past it, or past
     # the budget, the search runs as if no attempt had been made.
-    limit = len(comps) * sum(len(cl.edges) for cl in classes)
+    limit = len(comps) * sum(len(cl.edge_of) for cl in classes)
     if budget is not None:
         limit = min(limit, budget)
 
@@ -528,7 +524,7 @@ def _by_components(
             first_of.append(c)
         comp_group.append(group_of[key])
 
-    nodes = dp_states = 0
+    nodes = 0
     found = []
     for c in first_of:
         profiles, nodes = _profiles(items[c], caps, limit, nodes)
@@ -547,7 +543,7 @@ def _by_components(
 
     types: list[list[int]] = []
     for ci, cl in enumerate(classes):
-        if not cl.edges:
+        if not cl.edge_of:
             continue
         for ty in types:
             if caps[ty[0]] == caps[ci] and symmetric(ty[0], ci):
@@ -610,11 +606,10 @@ def _by_components(
                         continue  # known, or cannot beat the incumbent
                     nxt[child] = (state, move, met)
                     nodes += 1
-                    dp_states += 1
                     if nodes > limit:
                         return None
         layers.append(nxt)
-    extra = {"components": len(comps), "dp_states": dp_states}
+    extra = {"components": len(comps), "dp_states": sum(map(len, layers)) - 1}
     if not layers[-1]:
         return incumbent, nodes, False, extra
 
@@ -687,10 +682,10 @@ def exact_max_rainbow(
             raise ValueError(f"colour {colours[0]}: {why or 'edges intersect, so it is not a matching'}")
     if incumbent is None:
         incumbent = local_search_rainbow(inst).matching
-    table = _Table(inst)
+    classes, nv = _colour_classes(inst)
     witness, nodes, exhausted, extra = _by_components(
-        table, r, node_budget, incumbent
-    ) or _branch_and_bound(table.classes, r, node_budget, incumbent)
+        classes, nv, r, node_budget, incumbent
+    ) or _branch_and_bound(classes, r, node_budget, incumbent)
     extra = {"incumbent_size": incumbent.size, **extra}
     stats = SolveStats(nodes, wall_time=time.perf_counter() - t0, extra=extra)
     return SolveReport(witness, CERT_HEURISTIC if exhausted else CERT_EXACT, stats)

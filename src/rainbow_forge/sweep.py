@@ -28,7 +28,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 from math import comb
 from operator import getitem
@@ -154,13 +154,7 @@ def run_solver(
         certificate=result.certificate,
         size=result.size,
         assignment=result.matching,
-        stats={
-            "nodes": result.stats.nodes,
-            "swaps": result.stats.swaps,
-            "wall_time": result.stats.wall_time,
-            "seed": result.stats.seed,
-            "extra": dict(result.stats.extra),
-        },
+        stats=asdict(result.stats),
         instance=instance_ref,
     )
 

@@ -11,9 +11,10 @@ order, pruning, node count, witness and budget cut-off.  The default
 it finds the same witness in at least as many nodes.
 
 The reference searches classes it builds itself (``reference_classes``)
-from the instance's matchings, not the package's ``_Table``, so a change
-to the table reaches only one side of the comparison.  Test-only, like
-``ilp_oracle``: nothing in the package imports it.
+from the instance's matchings, not the package's ``_colour_classes``,
+so a change to the package's classes reaches only one side of the
+comparison.  Test-only, like ``ilp_oracle``: nothing in the package
+imports it.
 """
 
 from __future__ import annotations

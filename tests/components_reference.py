@@ -11,10 +11,12 @@ move per distinct use of the types; its states, node count, ``extra``
 entries and budget cut-off must stay the same.  It carries its own
 copies of the package's ``_walk`` stack, ``_profiles`` enumeration and
 ``_witness`` builder, so a change to any of them reaches only one side
-of the comparison.  It reads the package's table: each class's members,
-its edge masks, from the keys of ``edge_of``, and the number of dense
-ids.  It finds the components with a union-find of its own, which
-joins the ids of each edge, read off its mask's bits.
+of the comparison.  It reads nothing of the package's classes: it
+builds its own with ``bnb_reference.reference_classes`` (members, edges
+and masks) and counts the distinct vertices itself, so a fault in the
+package's ``_colour_classes`` reaches only one side.  It finds the
+components with a union-find of its own, which joins the ids of each
+edge, read off its mask's bits.
 Test-only, like ``bnb_reference``: nothing in the package imports it.
 """
 
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from rainbow_forge.core import RainbowMatching
+from rainbow_forge.core import Instance, RainbowMatching
+
+from bnb_reference import reference_classes
 
 
 def _walk(root: Iterator[Iterator], budget: int | None) -> tuple[int, bool]:
@@ -58,7 +62,7 @@ def _witness(classes: Sequence, chosen: Iterable[tuple[int, int]]) -> RainbowMat
         k = given.get(ci, 0)
         given[ci] = k + 1
         cl = classes[ci]
-        pairs.append((cl.members[k], cl.edge_of[mk]))
+        pairs.append((cl.members[k], cl.edges[cl.masks.index(mk)]))
     return RainbowMatching(tuple(pairs))
 
 
@@ -114,7 +118,7 @@ def _profiles(
 
 
 def reference_by_components(
-    table, r: int, budget: int | None, incumbent: RainbowMatching
+    inst: Instance, budget: int | None, incumbent: RainbowMatching
 ) -> tuple[RainbowMatching, int, dict] | None:
     """Solve a disjoint union one component at a time.
 
@@ -123,10 +127,11 @@ def reference_by_components(
     beat it), the nodes, which are enumeration nodes plus DP states, and
     the ``stats.extra`` entries of this path.
     """
-    classes = table.classes
-    masks = [tuple(cl.edge_of) for cl in classes]
+    r = inst.r
+    classes = reference_classes(inst)
+    masks = [cl.masks for cl in classes]
     caps = [len(cl.members) for cl in classes]
-    nv = len(table.index)  # every vertex lies on an edge
+    nv = len({v for m in inst.matchings for e in m for v in e})
     if incumbent.size >= min(sum(min(k, len(ms)) for k, ms in zip(caps, masks)), nv // r):
         return None  # meets the search's root bound: it stops at once
     # the components: a union-find joins every id of an edge to its

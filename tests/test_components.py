@@ -104,7 +104,7 @@ def test_components_rebuild_a_witness_on_paper_constructions(build, optimum, nod
     # incumbents, already optimal, never need
     inst = build()
     matching, got_nodes, exhausted, extra = solvers._by_components(
-        solvers._Table(inst), inst.r, None, rf.RainbowMatching()
+        *solvers._colour_classes(inst), inst.r, None, rf.RainbowMatching()
     )
     assert (matching.size, got_nodes, extra["dp_states"]) == (optimum, nodes, dp_states)
     assert exhausted is False
@@ -212,10 +212,10 @@ def test_exact_by_components_matches_the_oracles(inst):
     # an incumbent below the optimum makes the combination rebuild its
     # own witness; the local optimum less one edge also lets the bound
     # prune DP states
-    table = solvers._Table(inst)
+    classes, nv = solvers._colour_classes(inst)
     local = rf.local_search_rainbow(inst).matching
     for incumbent in (rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1])):
-        forced = solvers._by_components(table, inst.r, None, incumbent)
+        forced = solvers._by_components(classes, nv, inst.r, None, incumbent)
         if forced is not None:
             matching, _, exhausted, extra = forced
             assert exhausted is False and extra["components"] >= 2
@@ -228,13 +228,14 @@ def test_components_match_the_reference_dp(inst):
     # the same attempts, states, nodes and extra entries as the DP that
     # named class slots; a witness may differ where a state's first
     # parent does, so it is only checked to be valid and of the size
-    table = solvers._Table(inst)
+    # the package's classes on one side, the reference's own on the other
+    classes, nv = solvers._colour_classes(inst)
     local = rf.local_search_rainbow(inst).matching
     incumbents = (local, rf.RainbowMatching(), rf.RainbowMatching(local.assignment[:-1]))
     for incumbent in incumbents:
         for budget in (None, 40):
-            got = solvers._by_components(table, inst.r, budget, incumbent)
-            want = reference_by_components(table, inst.r, budget, incumbent)
+            got = solvers._by_components(classes, nv, inst.r, budget, incumbent)
+            want = reference_by_components(inst, budget, incumbent)
             assert (got is None) == (want is None)
             if got is not None:
                 matching, nodes, exhausted, extra = got

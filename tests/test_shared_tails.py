@@ -130,9 +130,16 @@ def _replace_object(ms, old, new):
             ms[j] = done[id(m)]
 
 
+def _filled_head(ms, i):
+    """The head indices of ``ms[i]`` whose edges an earlier mutation has
+    not emptied, so a vertex of the edge can be drawn."""
+    head, tail = _head_and_tail(ms, i)
+    return [k for k in head if ms[i][k]], tail
+
+
 def _head_on_tail_vertex(rnd, r, ms, part):
     i = rnd.randrange(len(ms))
-    head, tail = _head_and_tail(ms, i)
+    head, tail = _filled_head(ms, i)
     if head and tail:
         k = rnd.choice(head)
         e = list(ms[i][k])
@@ -170,7 +177,7 @@ def _wrong_arity_head(rnd, r, ms, part):
 
 def _partition_breaking_head(rnd, r, ms, part):
     i = rnd.randrange(len(ms))
-    head, _ = _head_and_tail(ms, i)
+    head, _ = _filled_head(ms, i)
     if head:
         k = rnd.choice(head)
         e = list(ms[i][k])
@@ -227,6 +234,15 @@ def tail_families(draw):
     for _ in range(draw(st.integers(0, 3))):
         rnd.choice(MUTATIONS)(rnd, r, ms, part)
     return r, ms, part
+
+
+def test_mutations_that_draw_a_vertex_skip_an_emptied_edge():
+    # _wrong_arity_head can cut an r = 2 head edge down to (); the
+    # mutations that then draw one of its vertices must leave it alone
+    t = (8, 9)
+    for mutate in (_head_on_tail_vertex, _partition_breaking_head):
+        for seed in range(40):
+            mutate(random.Random(seed), 2, [((), t), ((0, 1), t)], None)
 
 
 @settings(max_examples=400, deadline=None)

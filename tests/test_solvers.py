@@ -238,8 +238,8 @@ def families(draw) -> rf.Instance:
 @settings(max_examples=80, deadline=None)
 @given(families())
 def test_branch_and_bound_walks_the_reference_search_tree(inst):
-    # the package searches its table's classes, the reference its own
-    classes = solvers._Table(inst).classes
+    # the package searches its own classes, the reference its own
+    classes, _ = solvers._colour_classes(inst)
     ref_classes = reference_classes(inst)
     for incumbent in (rf.local_search_rainbow(inst).matching, rf.RainbowMatching()):
         for budget in (None, 0, 1, 7, 50):
@@ -272,18 +272,50 @@ def test_search_stops_a_node_once_the_incumbent_meets_its_bound():
 
 def test_table_vertex_maps_share_the_index_ints():
     # V = 896, past the small-int cache, so two equal ids are one object
-    # only when the table shares it: every class maps the dense id of
+    # only when the classes share it: every class maps the dense id of
     # each vertex on its edges, r per edge, to that edge's mask, keyed
-    # by the index's own int
+    # by one int object per dense id across all classes
     inst = rf.ach_instance(7, 128)
-    table = solvers._Table(inst)
-    ids = list(table.index.values())
-    assert ids == list(range(896))
-    for cl in table.classes:
-        assert len(cl.edge_at) == inst.r * len(cl.edges)
-        assert all(x is ids[x] for x in cl.edge_at)
+    classes, nv = solvers._colour_classes(inst)
+    index = {v: i for i, v in enumerate(sorted(inst.vertices()))}
+    assert nv == len(index) == 896
+    ids: dict[int, int] = {}
+    for cl in classes:
+        assert len(cl.edge_at) == inst.r * len(cl.edge_of)
+        assert all(ids.setdefault(x, x) is x for x in cl.edge_at)
         for mk, e in cl.edge_of.items():
-            assert all(cl.edge_at[table.index[v]] == mk for v in e)
+            assert all(cl.edge_at[index[v]] == mk for v in e)
+    assert sorted(ids) == list(range(896))
+
+
+def _check_colour_classes(inst: rf.Instance) -> None:
+    classes, nv = solvers._colour_classes(inst)
+    ref = reference_classes(inst)
+    assert [cl.members for cl in classes] == [cl.members for cl in ref]
+    for cl, want in zip(classes, ref):
+        # dict(zip(masks, edges)), in the same order
+        assert list(cl.edge_of.items()) == list(zip(want.masks, want.edges))
+    assert nv == len({v for m in inst.matchings for e in m for v in e})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rf.ach_instance(4, 12),
+        lambda: rf.k4_union_instance(9),
+        lambda: rf.cycle_instance(20),
+        lambda: rf.dummy_lift(rf.ach_instance(4, 8), 2),
+        lambda: rf.blowup_compose([rf.find_blocking_family(3, 4, 2, seed=1)] * 3),
+    ],
+)
+def test_colour_classes_match_the_reference_classes(build):
+    _check_colour_classes(build())
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_colour_classes_match_the_reference_classes_on_random_families(inst):
+    _check_colour_classes(inst)
 
 
 # ---------------------------------------------------------------------------
