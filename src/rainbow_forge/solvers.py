@@ -39,7 +39,10 @@ is dropped, and the final state with the least capacity left gives the
 maximum.  Its witness follows each state's first parent back and gives
 each use an actual class with the capacity it met: a swap within a
 type maps profiles to profiles, so that profile has a witness too.
-The branch-and-bound runs instead when the instance has one
+An incumbent that uses all n colours meets every bound: it is proved
+in the one node the search's root would take, before the classes are
+built (a budget of 0 still counts that node without running it).
+Otherwise the branch-and-bound runs instead when the instance has one
 component, when the incumbent already meets its root bound, when one
 component holds more than half of the covered vertices, or when the
 attempt would take more nodes than the budget or than one per
@@ -659,33 +662,42 @@ def exact_max_rainbow(
     With an unexhausted budget the certificate is ``exact-optimum`` and
     the size is the true maximum; if the search explores ``node_budget``
     nodes first, the best matching found so far is returned with
-    certificate ``heuristic``.  Before any other work, the local search
-    included, an r below 1 raises ValueError naming r, and every run of
-    colours goes through ``core``'s test for a matching of r-sets: the
-    first colour that fails raises ValueError, naming its first edge of
-    other than r distinct vertices or else saying that its edges
-    intersect.  No valid instance fails.
+    certificate ``heuristic``; a budget of 0 counts the root but does
+    not run it.  Before any other work, the local search included, an r
+    below 1 or a negative ``node_budget`` raises ValueError naming it,
+    and every run of colours goes through ``core``'s test for a
+    matching of r-sets: the first colour that fails raises ValueError,
+    naming its first edge of other than r distinct vertices or else
+    saying that its edges intersect.  No valid instance fails.
 
     A given ``incumbent`` must be a rainbow matching of ``inst``, which
     is not checked here.  It replaces the local search and nothing else:
     the search still returns a larger matching whenever one exists, so
     an ``exact-optimum`` of the incumbent's size proves it maximum.  An
-    optimal incumbent that meets the root bound is proved at the root.
+    optimal incumbent that meets the root bound is proved at the root,
+    and one of all n colours before the colour classes are built.
     """
     t0 = time.perf_counter()
     r = inst.r
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     for es, colours in inst.runs:
         if not _is_r_matching(es, r):
             why = next((f"edge {e} is not a {r}-set" for e in es if not _is_r_matching((e,), r)), None)
             raise ValueError(f"colour {colours[0]}: {why or 'edges intersect, so it is not a matching'}")
     if incumbent is None:
         incumbent = local_search_rainbow(inst).matching
-    classes, nv = _colour_classes(inst)
-    witness, nodes, exhausted, extra = _by_components(
-        classes, nv, r, node_budget, incumbent
-    ) or _branch_and_bound(classes, r, node_budget, incumbent)
+    if incumbent.size == inst.n and node_budget != 0:
+        # every colour is used, so the incumbent meets the root bound:
+        # the search's root would return it, after its one node
+        witness, nodes, exhausted, extra = incumbent, 1, False, {}
+    else:
+        classes, nv = _colour_classes(inst)
+        witness, nodes, exhausted, extra = _by_components(
+            classes, nv, r, node_budget, incumbent
+        ) or _branch_and_bound(classes, r, node_budget, incumbent)
     extra = {"incumbent_size": incumbent.size, **extra}
     stats = SolveStats(nodes, wall_time=time.perf_counter() - t0, extra=extra)
     return SolveReport(witness, CERT_HEURISTIC if exhausted else CERT_EXACT, stats)

@@ -216,6 +216,24 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_negative_node_budget_exits_1_not_3_or_4(tmp_path, capsys):
+    # a negative budget is an invalid parameter, not an exhausted search
+    inst_path, report_path = tmp_path / "a.rbf", tmp_path / "a.json"
+    assert main(["gen", "--construction", "ach", "--r", "3", "--n", "4", "--out", str(inst_path)]) == 0
+    assert main(["solve", "--in", str(inst_path), "--solver", "exact", "--out", str(report_path)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["solve", "--in", str(inst_path), "--solver", "exact", "--node-budget", "-5"],
+        ["verify", "--in", str(inst_path), "--report", str(report_path), "--node-budget", "-1"],
+        ["sweep", "--construction", "ach", "--r", "3", "--n", "4", "--solver", "exact",
+         "--node-budget", "-1", "--out", str(tmp_path / "results")],
+    ):
+        budget = argv[argv.index("--node-budget") + 1]
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"invalid parameters: node budget must be >= 0, got {budget}" in err, argv
+
+
 def test_solve_exits_3_on_a_budgeted_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     # the exact search goes about 300 levels deep on this family, past a
     # recursion limit of 250; solve must still exit 3 with the budgeted

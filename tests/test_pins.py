@@ -30,6 +30,7 @@ from rainbow_forge import (
     serialize_instance,
     serialize_report,
 )
+from rainbow_forge import solvers
 from rainbow_forge.cli import main
 from rainbow_forge.sweep import run_solver
 
@@ -215,6 +216,32 @@ def test_every_quick_start_record_verifies(quick_start):
     results = folder / "results"
     for record in records:
         _run("verify", "--in", results / record["instance_file"], "--report", results / record["report_file"])
+
+
+def test_all_colour_proofs_build_no_colour_classes(tmp_path, monkeypatch):
+    # an exact solve whose incumbent uses all n colours is proved before
+    # the colour classes are built: 2 of the quick-start sweep's 18
+    # exact solves and 9 of its 18 exact verifies (18 and 18 when every
+    # solve built them)
+    built = []
+
+    def counted(inst):
+        built.append(inst)
+        return colour_classes(inst)
+
+    colour_classes = solvers._colour_classes
+    monkeypatch.setattr(solvers, "_colour_classes", counted)
+    results = tmp_path / "results"
+    _run(*QUICK_START[-1].split()[:-1], results)
+    assert len(built) == 16
+    (sweep,) = (results / "sweeps").iterdir()
+    records = [json.loads(line) for line in (sweep / "records.jsonl").read_text().splitlines()]
+    exact = [record for record in records if record["certificate"] == "exact-optimum"]
+    assert len(exact) == 18
+    built.clear()
+    for record in exact:
+        _run("verify", "--in", results / record["instance_file"], "--report", results / record["report_file"])
+    assert len(built) == 9
 
 
 def test_component_dp_certifies_ach_7_128_through_the_cli(tmp_path):

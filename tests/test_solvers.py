@@ -148,6 +148,62 @@ def test_exact_proves_an_optimal_incumbent_at_the_root():
     assert rep.stats.extra["incumbent_size"] == 10
 
 
+def _no_search_structure(monkeypatch):
+    def built(*args):
+        raise AssertionError("a search structure was built")
+
+    for name in ("_colour_classes", "_by_components", "_branch_and_bound"):
+        monkeypatch.setattr(solvers, name, built)
+
+
+def test_exact_proves_an_all_colour_incumbent_before_the_classes(monkeypatch):
+    # an incumbent of all n colours meets the root bound: the report is
+    # the root's, the witness the incumbent itself, and neither the
+    # classes nor a search are built
+    inst = rf.random_instance(3, 10, 10, seed=1)
+    optimum = rf.exact_max_rainbow(inst).matching
+    assert optimum.size == inst.n
+    _no_search_structure(monkeypatch)
+    rep = rf.exact_max_rainbow(inst, incumbent=optimum)
+    assert rep.matching is optimum
+    assert (rep.certificate, rep.stats.nodes, rep.stats.extra) == (rf.CERT_EXACT, 1, {"incumbent_size": 10})
+
+
+def test_exact_proves_an_all_colour_local_optimum_before_the_classes(monkeypatch):
+    inst = rf.random_instance(2, 8, 8, seed=0)
+    found = []
+
+    def local(inst, seed=None):
+        found.append(rf.local_search_rainbow(inst, seed=seed).matching)
+        return rf.SolveReport(found[-1], rf.CERT_LOCAL, rf.SolveStats())
+
+    monkeypatch.setattr(solvers, "local_search_rainbow", local)
+    _no_search_structure(monkeypatch)
+    rep = rf.exact_max_rainbow(inst)
+    assert found[0].size == 8 and rep.matching is found[0]
+    assert (rep.certificate, rep.stats.nodes, rep.stats.extra) == (rf.CERT_EXACT, 1, {"incumbent_size": 8})
+
+
+def test_exact_at_budget_zero_does_not_prove_an_all_colour_incumbent():
+    # the root is counted but not run, as for any other incumbent
+    inst = rf.random_instance(2, 8, 8, seed=0)
+    incumbent = rf.local_search_rainbow(inst).matching
+    rep = rf.exact_max_rainbow(inst, node_budget=0, incumbent=incumbent)
+    assert (rep.matching, rep.certificate, rep.stats.nodes) == (incumbent, rf.CERT_HEURISTIC, 1)
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_exact_rejects_a_negative_budget_before_the_incumbent(monkeypatch, budget):
+    def no_incumbent(inst, seed=None):
+        raise AssertionError("the local search ran before the check")
+
+    monkeypatch.setattr(solvers, "local_search_rainbow", no_incumbent)
+    inst = rf.ach_instance(3, 4)
+    for incumbent in (None, rf.RainbowMatching()):
+        with pytest.raises(ValueError, match=f"node budget must be >= 0, got {budget}"):
+            rf.exact_max_rainbow(inst, node_budget=budget, incumbent=incumbent)
+
+
 def test_exact_rejects_a_colour_that_is_not_a_matching():
     # colour 0's edges share vertex 1, or repeat one edge; a given
     # incumbent skips no check
@@ -158,6 +214,15 @@ def test_exact_rejects_a_colour_that_is_not_a_matching():
         for incumbent in (None, rf.RainbowMatching(((1, inst.matchings[1][0]),))):
             with pytest.raises(ValueError, match="colour 0: edges intersect"):
                 rf.exact_max_rainbow(inst, incumbent=incumbent)
+
+
+def test_exact_rejects_a_bad_colour_under_an_all_colour_incumbent():
+    # the early proof of an n-colour incumbent comes after the check
+    inst = rf.Instance(r=2, matchings=(((0, 1), (1, 2)), ((2, 3),)))
+    incumbent = rf.RainbowMatching(((0, (0, 1)), (1, (2, 3))))
+    assert incumbent.size == inst.n
+    with pytest.raises(ValueError, match="colour 0: edges intersect"):
+        rf.exact_max_rainbow(inst, incumbent=incumbent)
 
 
 def test_exact_rejects_an_edge_of_the_wrong_size():
@@ -256,6 +321,25 @@ def test_branch_and_bound_walks_the_reference_search_tree(inst):
             if budget is None:
                 assert got[0] == full[0] and got[1] <= full[1]
             assert got[0].size >= full[0].size
+
+
+@settings(max_examples=80, deadline=None)
+@given(families())
+@example(rf.random_instance(2, 8, 8, seed=0))
+@example(disjoint_instance(3, 5, 2))
+def test_all_colour_proof_is_the_search_root(inst):
+    # whenever the optimum is n, the early proof gives what the search
+    # from the classes gives: the same witness, certificate and nodes
+    witness, _, _ = reference_branch_and_bound(reference_classes(inst), inst.r, None, rf.RainbowMatching())
+    if witness.size < inst.n:
+        return
+    classes, _ = solvers._colour_classes(inst)
+    for budget in (None, 0, 1):
+        rep = rf.exact_max_rainbow(inst, node_budget=budget, incumbent=witness)
+        got, nodes, exhausted, extra = solvers._branch_and_bound(classes, inst.r, budget, witness)
+        assert rep.matching is got
+        assert (rep.certificate, rep.stats.nodes) == (rf.CERT_HEURISTIC if exhausted else rf.CERT_EXACT, nodes)
+        assert rep.stats.extra == {"incumbent_size": inst.n, **extra}
 
 
 def test_search_stops_a_node_once_the_incumbent_meets_its_bound():

@@ -186,6 +186,19 @@ def test_verify_report_fails_an_exact_re_solve_out_of_budget():
     assert str(checks[-1]) == "FAIL: exact certificate reproducible (re-solve budget exhausted)"
 
 
+def test_a_negative_node_budget_raises_in_solve_verify_and_sweep(tmp_path):
+    # a negative budget names itself; it is not read as an exhausted search
+    inst = rf.ach_instance(3, 4)
+    doc = sweep.run_solver(inst, "exact")
+    assert doc.certificate == rf.CERT_EXACT
+    with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
+        sweep.run_solver(inst, "exact", node_budget=-1)
+    with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
+        sweep.verify_report(inst, doc, node_budget=-1)
+    with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
+        sweep.run_sweep([CellSpec("ach", 3, 4, "exact", 1, node_budget=-1)], tmp_path, stamp="s")
+
+
 def _relabelled_exact(matching):
     # a valid rainbow matching that claims to be a maximum
     return rf.ReportDoc("exact", rf.CERT_EXACT, matching.size, matching)
