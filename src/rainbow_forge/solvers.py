@@ -6,7 +6,10 @@ are grouped into classes, and the search assigns each class an
 increasing sequence of edges instead of permuting interchangeable
 colours.  Pruning combines the remaining-colour count with a
 vertex-count relaxation, and a node stops once the incumbent meets its
-bound; the reported size is deterministic.  The search state of a
+bound; the reported size is deterministic.  A node arrives with its
+bound, which its parent works out in the loop that builds its state,
+and a child that cannot beat the incumbent is counted as a node but
+never built.  The search state of a
 class is one integer, the union of its live edges' bitmasks: a class
 is a matching, so the union alone tells how many edges are live, which
 comes first, and which of them an edge picked in another class
@@ -281,6 +284,9 @@ def _walk(root: Iterator[Iterator], budget: int | None) -> tuple[int, bool]:
     return nodes, True
 
 
+_PRUNED: Iterator = iter(())  # a child counted as a node but not built
+
+
 def _witness(classes: Sequence[_ColourClass], chosen: Iterable[tuple[int, int]]) -> RainbowMatching:
     """The rainbow matching of (class, edge mask) picks: a class's k-th
     pick takes its k-th member colour."""
@@ -319,13 +325,31 @@ def _branch_and_bound(
       found through the class's ``edge_at`` map from the dense id of
       the lowest bit they share, ``(hit & -hit).bit_length() - 1``.
 
-    The vertex bound's union is the OR of the class unions.  A node
-    stops once the incumbent meets its bound, even with children left:
-    a descendant's find can raise the incumbent, and no matching below
-    the node exceeds the bound.  A leaf, a node with no open class, is
-    bounded by its own size, which the incumbent already meets.  Each
-    node is a generator run from :func:`_walk`'s explicit stack, which
-    counts it and stops at the first node past ``budget``.
+    A node's bound is the smaller of its colour total (each class gives
+    at most its live edges and its colours left) and its vertex bound
+    (the OR of the class unions, r bits to an edge).  A node arrives
+    with its bound, its colour total, its pick (the first class with
+    the fewest live edges) and the pick's live count: the parent works
+    them out in the loop over the open classes that builds the child's
+    state.  A child that cannot beat the incumbent is not built: the
+    parent yields the shared exhausted ``_PRUNED`` instead, which the
+    walker counts as a node like any other.  A pick child's colour
+    total is the parent's with the pick's new share, less what each
+    class that loses edges drops, so the parent stops building the
+    child once that total cannot beat the incumbent.  The close child's
+    colour total is the parent's without the pick's share, so it is
+    tested before the state is copied.  Nothing runs between a yield
+    and the child's entry, so the parent tests at the incumbent size
+    the child would see, and a pruned child never raises the
+    incumbent: the tree, its node count and the budget cut-off are
+    those of a search that enters every child to test it.
+
+    A node stops once the incumbent meets its bound, even with children
+    left: a descendant's find can raise the incumbent, and no matching
+    below the node exceeds the bound.  A leaf, a node with no open
+    class, is bounded by its own size, which the incumbent then meets.
+    Each node is a generator run from :func:`_walk`'s explicit stack,
+    which counts it and stops at the first node past ``budget``.
 
     Returns (the best matching found, which is ``incumbent`` unless the
     search beat it, nodes explored, budget exhausted flag, no
@@ -337,62 +361,109 @@ def _branch_and_bound(
     left = [len(cl.members) for cl in classes]
     edge_at = [cl.edge_at for cl in classes]
 
-    def dfs(live: dict[int, int]) -> Iterator[Iterator]:
+    def without(live: dict[int, int], skip: int, cur: int) -> tuple:
+        """The state ``live`` without class ``skip``, as ``dfs``'s
+        arguments for a node of ``cur`` picks."""
+        child: dict[int, int] = {}
+        total = 0
+        pick = -1
+        pick_count = -1
+        union = 0
+        for cj, u in live.items():
+            if cj == skip:
+                continue
+            child[cj] = u
+            count = u.bit_count() // r
+            k = left[cj]
+            total += k if k < count else count
+            if pick_count < 0 or count < pick_count:
+                pick, pick_count = cj, count
+            union |= u
+        vertex = union.bit_count() // r
+        return child, cur + (total if total < vertex else vertex), total, pick, pick_count
+
+    def dfs(live: dict[int, int], top: int, total: int, pick: int, pick_count: int) -> Iterator[Iterator]:
         nonlocal best_size, best_witness
         cur = len(chosen)
         if cur > best_size:
             best_size = cur
             best_witness = _witness(classes, chosen)
-        total_ub = 0
-        pick = -1
-        pick_len = -1
-        union = 0
-        for ci, u in live.items():
-            count = u.bit_count() // r
-            k = left[ci]
-            total_ub += k if k < count else count
-            if pick_len < 0 or count < pick_len:
-                pick, pick_len = ci, count
-            union |= u
-        top = cur + min(total_ub, union.bit_count() // r)
         if top <= best_size:
             return
 
         k = left[pick]
         left[pick] = k - 1
+        # the colour total of the children without the pick's share
+        rest = total - (k if k < pick_count else pick_count)
         at = edge_at[pick]
         tail = live[pick]
+        tail_count = pick_count
         # a descendant's find raises best_size, and no matching below
         # this node beats top: stop once the incumbent reaches it
         while tail and top > best_size:
             mk = at[(tail & -tail).bit_length() - 1]
             tail ^= mk  # the class's live edges after this one
-            child: dict[int, int] = {}
-            for cj, u in live.items():
-                if cj == pick:
-                    if k > 1 and tail:
-                        child[cj] = tail
-                    continue
-                hit = u & mk
-                if hit:
-                    other = edge_at[cj]
-                    while hit:
-                        u ^= other[(hit & -hit).bit_length() - 1]
+            tail_count -= 1
+            # the child can beat the incumbent only with a colour total
+            # of at least need: start from the parent's total with the
+            # pick's new share, take off what each class that loses
+            # edges drops, and stop building once it falls short
+            need = best_size - cur
+            ctotal = rest + (k - 1 if k - 1 < tail_count else tail_count)
+            if ctotal >= need:
+                child: dict[int, int] = {}
+                cpick = -1
+                ccount = -1
+                union = 0
+                for cj, u in live.items():
+                    if cj == pick:
+                        if k == 1 or not tail:
+                            continue
+                        u = tail
+                        count = tail_count
+                    else:
                         hit = u & mk
-                    if not u:
+                        if hit:
+                            before = u.bit_count() // r
+                            other = edge_at[cj]
+                            while hit:
+                                u ^= other[(hit & -hit).bit_length() - 1]
+                                hit = u & mk
+                            count = u.bit_count() // r
+                            kj = left[cj]
+                            if count < kj:
+                                ctotal -= (before if before < kj else kj) - count
+                                if ctotal < need:
+                                    break
+                                if not u:
+                                    continue
+                        else:
+                            count = u.bit_count() // r
+                    child[cj] = u
+                    if ccount < 0 or count < ccount:
+                        cpick, ccount = cj, count
+                    union |= u
+                else:
+                    vertex = union.bit_count() // r
+                    bound = ctotal if ctotal < vertex else vertex
+                    if bound >= need:
+                        chosen.append((pick, mk))
+                        yield dfs(child, cur + 1 + bound, ctotal, cpick, ccount)
+                        chosen.pop()
                         continue
-                child[cj] = u
-            chosen.append((pick, mk))
-            yield dfs(child)
-            chosen.pop()
+            yield _PRUNED
         left[pick] = k
         # close the whole class: interchangeable colours make exploring
         # "skip member k, use member k+1" redundant
         if top > best_size:
-            yield dfs({cj: u for cj, u in live.items() if cj != pick})
+            if cur + rest <= best_size:
+                yield _PRUNED
+            else:
+                args = without(live, pick, cur)
+                yield dfs(*args) if args[1] > best_size else _PRUNED
 
     # a class's masks are disjoint, so their sum is their OR
-    root = dfs({ci: sum(cl.edge_of) for ci, cl in enumerate(classes) if cl.edge_of})
+    root = dfs(*without({ci: sum(cl.edge_of) for ci, cl in enumerate(classes) if cl.edge_of}, -1, 0))
     nodes, exhausted = _walk(root, budget)
     return best_witness, nodes, exhausted, {}
 

@@ -367,7 +367,11 @@ def run_sweep(
     as the first of them (specs of a non-random construction that differ
     only in ``size`` are one cell).  Cells outside their generator's
     domain are skipped; when no cell is left, raise ValueError and
-    create no directory."""
+    create no directory.  A negative node budget in any cell raises
+    ValueError before anything is built or written."""
+    for spec in cells:
+        if spec.node_budget is not None and spec.node_budget < 0:
+            raise ValueError(f"node budget must be >= 0, got {spec.node_budget}")
     root = Path(out_dir)
     if stamp is None:
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())

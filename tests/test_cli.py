@@ -225,13 +225,15 @@ def test_a_negative_node_budget_exits_1_not_3_or_4(tmp_path, capsys):
     for argv in (
         ["solve", "--in", str(inst_path), "--solver", "exact", "--node-budget", "-5"],
         ["verify", "--in", str(inst_path), "--report", str(report_path), "--node-budget", "-1"],
-        ["sweep", "--construction", "ach", "--r", "3", "--n", "4", "--solver", "exact",
-         "--node-budget", "-1", "--out", str(tmp_path / "results")],
+        # the local cells run no search, yet they leave no file behind
+        ["sweep", "--construction", "ach,cycle", "--r", "2..3", "--n", "4",
+         "--solver", "local,exact", "--node-budget", "-1", "--out", str(tmp_path / "results")],
     ):
         budget = argv[argv.index("--node-budget") + 1]
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert f"invalid parameters: node budget must be >= 0, got {budget}" in err, argv
+    assert not (tmp_path / "results").exists()
 
 
 def test_solve_exits_3_on_a_budgeted_search_deeper_than_the_recursion_limit(tmp_path, capsys):

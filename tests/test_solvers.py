@@ -105,6 +105,8 @@ def test_exact_size_invariant_under_symmetries():
         # one component
         (lambda: rf.random_instance(3, 18, 18, seed=1), 18, 21_102),
         (lambda: rf.cycle_instance(200), 199, 401),
+        # optimum below n at r = 4: most of the nodes are proof
+        (lambda: rf.random_instance(4, 14, 14, seed=2), 13, 61_900),
         # three shared edges and one component holding most vertices
         (lambda: rf.dummy_lift(rf.random_instance(3, 18, 18, seed=1), 3), 18, 19),
     ],
@@ -321,6 +323,33 @@ def test_branch_and_bound_walks_the_reference_search_tree(inst):
             if budget is None:
                 assert got[0] == full[0] and got[1] <= full[1]
             assert got[0].size >= full[0].size
+
+
+@pytest.mark.parametrize(
+    "r, n, size, seed, repeats",
+    [
+        (2, 5, 5, 3, (1, 2, 2)),
+        (3, 6, 5, 2, (0,)),
+        (3, 5, 6, 4, (3, 3)),
+        (4, 5, 5, 7, (0, 4)),
+        (4, 8, 6, 2, ()),
+    ],
+)
+def test_branch_and_bound_cuts_off_the_reference_tree_at_every_budget(r, n, size, seed, repeats):
+    # a child that cannot beat the incumbent is counted without being
+    # built, so every budget up to the whole tree, past it by one, must
+    # stop where the reference stops, on pruned children and built ones
+    base = rf.random_instance(r, n, size, seed=seed)
+    inst = rf.Instance(r, base.matchings + tuple(base.matchings[j] for j in repeats))
+    classes, _ = solvers._colour_classes(inst)
+    ref_classes = reference_classes(inst)
+    for incumbent in (rf.RainbowMatching(), rf.local_search_rainbow(inst).matching):
+        _, nodes, exhausted, _ = solvers._branch_and_bound(classes, r, None, incumbent)
+        assert not exhausted and nodes > 20
+        for budget in range(nodes + 2):
+            assert solvers._branch_and_bound(classes, r, budget, incumbent)[:3] == reference_branch_and_bound(
+                ref_classes, r, budget, incumbent, stop_at_bound=True
+            ), (incumbent.size, budget)
 
 
 @settings(max_examples=80, deadline=None)

@@ -195,8 +195,18 @@ def test_a_negative_node_budget_raises_in_solve_verify_and_sweep(tmp_path):
         sweep.run_solver(inst, "exact", node_budget=-1)
     with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
         sweep.verify_report(inst, doc, node_budget=-1)
-    with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
-        sweep.run_sweep([CellSpec("ach", 3, 4, "exact", 1, node_budget=-1)], tmp_path, stamp="s")
+    # the local cells come first and ignore the budget, but the sweep
+    # refuses the whole grid before it builds, writes or starts a pool
+    cells = [
+        CellSpec(construction, r, 4, solver, 1, node_budget=-1)
+        for construction in ("ach", "cycle")
+        for r in (2, 3)
+        for solver in ("local", "exact")
+    ]
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="node budget must be >= 0, got -1"):
+            sweep.run_sweep(cells, tmp_path / "res", jobs=jobs, stamp="s")
+        assert not (tmp_path / "res").exists()
 
 
 def _relabelled_exact(matching):
